@@ -13,6 +13,7 @@ use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
 use ripq_obs::Recorder;
 use ripq_pf::{
     resample_indices, Heading, IndoorState, MotionModel, ParticlePreprocessor, PreprocessorConfig,
+    SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
 use std::hint::black_box;
@@ -134,12 +135,21 @@ fn bench_preprocess(c: &mut Criterion) {
         }
     }
     let mut rng = StdRng::seed_from_u64(4);
+    let opts = SupervisionOptions::default();
     c.bench_function("preprocess_object_30s_64p", |b| {
         b.iter(|| {
-            black_box(
-                pre.process_object(&mut rng, &collector, o, 30, None)
-                    .expect("object known"),
-            )
+            let mut index = AnchorObjectIndex::new();
+            pre.process(
+                rng.random::<u64>(),
+                &collector,
+                &[o],
+                30,
+                None,
+                None,
+                &opts,
+                &mut index,
+            );
+            black_box(index)
         })
     });
 }
@@ -177,40 +187,34 @@ fn bench_preprocess_parallel(c: &mut Criterion) {
         collector.ingest_second(s, &det);
     }
     let objects: Vec<ObjectId> = (0..200).map(ObjectId::new).collect();
+    let opts = SupervisionOptions::default();
+    // One pass over all objects into a fresh index.
+    let run = |pre: &ParticlePreprocessor<'_>, parallelism: Option<usize>| {
+        let mut index = AnchorObjectIndex::new();
+        pre.process(
+            0x5eed,
+            &collector,
+            black_box(&objects),
+            30,
+            None,
+            parallelism,
+            &opts,
+            &mut index,
+        );
+        index
+    };
     let mut group = c.benchmark_group("preprocess_200obj");
     for workers in [1usize, 2, 4] {
         let parallelism = if workers == 1 { None } else { Some(workers) };
         group.bench_with_input(
             BenchmarkId::new("obs-off", workers),
             &parallelism,
-            |b, &par| {
-                b.iter(|| {
-                    black_box(pre.process_streamed(
-                        0x5eed,
-                        &collector,
-                        black_box(&objects),
-                        30,
-                        None,
-                        par,
-                    ))
-                })
-            },
+            |b, &par| b.iter(|| black_box(run(&pre, par))),
         );
         group.bench_with_input(
             BenchmarkId::new("obs-on", workers),
             &parallelism,
-            |b, &par| {
-                b.iter(|| {
-                    black_box(pre_obs.process_streamed(
-                        0x5eed,
-                        &collector,
-                        black_box(&objects),
-                        30,
-                        None,
-                        par,
-                    ))
-                })
-            },
+            |b, &par| b.iter(|| black_box(run(&pre_obs, par))),
         );
     }
     group.finish();
@@ -220,12 +224,12 @@ fn bench_preprocess_parallel(c: &mut Criterion) {
     let reps = 5u32;
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
-        black_box(pre.process_streamed(0x5eed, &collector, &objects, 30, None, None));
+        black_box(run(&pre, None));
     }
     let off = t0.elapsed() / reps;
     let t1 = std::time::Instant::now();
     for _ in 0..reps {
-        black_box(pre_obs.process_streamed(0x5eed, &collector, &objects, 30, None, None));
+        black_box(run(&pre_obs, None));
     }
     let on = t1.elapsed() / reps;
     let delta = (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64() * 100.0;

@@ -268,8 +268,9 @@ pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
     // clearing reuse through disjoint seeds per timestamp — instead we
     // time the underlying preprocessing directly.
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
+    use rand::{RngExt, SeedableRng};
+    use ripq_graph::AnchorObjectIndex;
+    use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
     use ripq_rfid::DataCollector;
     use ripq_sim::{ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -298,9 +299,10 @@ pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
     );
     let timestamps = p.timestamps();
 
+    let opts = SupervisionOptions::default();
     let run = |use_cache: bool| {
         let mut collector = DataCollector::new();
-        let mut cache = ParticleCache::new();
+        let cache = ParticleCache::new();
         let mut rng = StdRng::seed_from_u64(p.seed + 3);
         let t0 = Instant::now();
         let mut ti = 0;
@@ -308,8 +310,17 @@ pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
             collector.ingest_second(second, &detections[second as usize]);
             while ti < timestamps.len() && timestamps[ti] == second {
                 ti += 1;
-                let cache_opt = use_cache.then_some(&mut cache);
-                let _ = pre.process(&mut rng, &collector, &objects, second, cache_opt);
+                let mut index = AnchorObjectIndex::new();
+                pre.process(
+                    rng.random::<u64>(),
+                    &collector,
+                    &objects,
+                    second,
+                    use_cache.then_some(&cache),
+                    None,
+                    &opts,
+                    &mut index,
+                );
             }
         }
         t0.elapsed()

@@ -24,10 +24,9 @@ pub mod ablation;
 pub mod perf_json;
 
 use ripq_sim::{AccuracyReport, Experiment, ExperimentParams};
-use serde::{Deserialize, Serialize};
 
 /// How heavy a sweep to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// The paper's counts: 50 timestamps, 100 range windows each, 30 kNN
     /// points, defaults from Table 2. A full figure takes seconds to low
@@ -66,7 +65,7 @@ impl Scale {
 
 /// One point of one figure: the swept parameter value plus the measured
 /// series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FigureRow {
     /// The swept parameter's value (window %, k, particles, objects, or
     /// activation range in meters).

@@ -4,8 +4,8 @@
 //! performance story is diffable across the PR sequence. This module
 //! measures the two distance backends ([`DistanceBackend::Dijkstra`]
 //! vs [`DistanceBackend::Alt`]) on the same scripted workload and
-//! renders a small hand-built JSON document (the vendored `serde` is a
-//! no-op marker, so no serializer is available — and none is needed).
+//! renders a small hand-built JSON document (the build has no serializer
+//! dependency, and needs none).
 //!
 //! ## Logical cost units
 //!

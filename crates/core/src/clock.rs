@@ -10,12 +10,11 @@
 //! lean on this: the single sanctioned `Instant::now()` call in the
 //! workspace lives here, behind the `Wall` arm.
 
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// How a [`Clock`] measures elapsed time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TimingMode {
     /// Real wall-clock time (`Instant::now`). Timings are meaningful but
     /// differ run to run.

@@ -12,11 +12,10 @@
 
 use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorSet, DistanceOracle, GraphPos, WalkingGraph};
 use ripq_rfid::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
 /// One result pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectPair {
     /// The pair, ordered by object id (`a < b`).
     pub a: ObjectId,
@@ -29,7 +28,7 @@ pub struct ObjectPair {
 }
 
 /// A closest-pairs query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosestPairsQuery {
     /// Number of pairs to return.
     pub m: usize,

@@ -13,7 +13,6 @@ use ripq_floorplan::FloorPlan;
 use ripq_geom::{Point2, Rect};
 use ripq_graph::{AnchorObjectIndex, AnchorSet, WalkingGraph};
 use ripq_rfid::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Probability movements below this threshold are not reported as changes.
@@ -21,7 +20,7 @@ pub const CHANGE_EPSILON: f64 = 1e-9;
 
 /// The difference between two consecutive evaluations of a continuous
 /// query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultDelta {
     /// Objects that entered the result set, with their new probability.
     pub appeared: Vec<(ObjectId, f64)>,
@@ -81,7 +80,7 @@ impl ResultDelta {
 /// What a continuous subscription watches — enough information to
 /// re-register the underlying query after a restart (queries are
 /// deliberately not part of durable snapshots).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubscriptionKind {
     /// A continuous range query over a fixed window.
     Range(Rect),

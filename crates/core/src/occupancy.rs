@@ -10,11 +10,10 @@
 use ripq_floorplan::{FloorPlan, Location, RoomId};
 use ripq_graph::{AnchorObjectIndex, AnchorSet};
 use ripq_rfid::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Expected occupancy of one room.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoomOccupancy {
     /// The room.
     pub room: RoomId,
@@ -25,7 +24,7 @@ pub struct RoomOccupancy {
 }
 
 /// Full occupancy report at one instant.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OccupancyReport {
     /// Per-room occupancy, indexable by [`RoomId::index`].
     pub rooms: Vec<RoomOccupancy>,

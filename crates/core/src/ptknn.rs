@@ -20,11 +20,10 @@ use rand::Rng;
 use ripq_geom::Point2;
 use ripq_graph::{AnchorId, AnchorObjectIndex, AnchorSet, DistanceOracle, WalkingGraph};
 use ripq_rfid::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A probabilistic threshold kNN query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PtknnQuery {
     /// The query point.
     pub point: Point2,

@@ -2,11 +2,10 @@
 
 use crate::CoreError;
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a registered query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(u32);
 
 impl QueryId {
@@ -31,7 +30,7 @@ impl fmt::Display for QueryId {
 
 /// A probabilistic indoor range query: "which objects are inside `window`,
 /// with what probability?"
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeQuery {
     /// This query's identifier.
     pub id: QueryId,
@@ -51,7 +50,7 @@ impl RangeQuery {
 
 /// A probabilistic indoor k-nearest-neighbor query: "which objects are
 /// among the `k` nearest to `point` by indoor walking distance?"
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KnnQuery {
     /// This query's identifier.
     pub id: QueryId,

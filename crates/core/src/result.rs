@@ -1,11 +1,10 @@
 //! Probabilistic result sets with the paper's merge semantics.
 
 use ripq_rfid::ObjectId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One ⟨object, probability⟩ pair of a probabilistic result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbResult {
     /// The object.
     pub object: ObjectId,
@@ -24,7 +23,7 @@ pub struct ProbResult {
 /// Backed by a `BTreeMap` so every iteration — including the float
 /// summation in [`ResultSet::total_probability`] — visits objects in id
 /// order and rounds identically on every run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResultSet {
     probs: BTreeMap<ObjectId, f64>,
 }

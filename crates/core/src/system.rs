@@ -23,10 +23,9 @@ use ripq_persist::{
 };
 use ripq_pf::{
     CacheStats, DegradationLevel, ParticleCache, ParticlePreprocessor, PreprocessorConfig,
-    SharedParticleCache, SupervisionOptions,
+    SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -34,7 +33,7 @@ use std::time::Duration;
 
 /// Configuration of an [`IndoorQuerySystem`]. Defaults match Table 2 of
 /// the paper (64 particles, 19 readers, 2 m activation range, …).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of RFID readers deployed uniformly on hallways (paper: 19).
     pub reader_count: u32,
@@ -586,14 +585,14 @@ impl IndoorQuerySystem {
             self.config.preprocess,
         )
         .with_recorder(&self.recorder);
-        let cache = self.config.use_cache.then(|| self.cache.shared());
+        let cache = self.config.use_cache.then_some(&self.cache);
         let supervision = SupervisionOptions {
             budget,
             panic_object: self.injected_fault.map(|(o, _)| o),
             panic_attempts: self.injected_fault.map_or(1, |(_, a)| a),
             ..SupervisionOptions::default()
         };
-        let (object_degradation, delta) = preprocessor.process_supervised_into(
+        let (object_degradation, delta) = preprocessor.process(
             pass_seed,
             &self.collector,
             &candidates,
@@ -919,7 +918,7 @@ impl IndoorQuerySystem {
         w.put_opt_u64(self.last_ingest_second);
         w.put_opt_u64(self.last_checkpoint_second);
         self.collector.encode_state(w);
-        self.cache.shared().encode_state(w);
+        self.cache.encode_state(w);
         for word in self.rng.state() {
             w.put_u64(word);
         }
@@ -933,7 +932,7 @@ impl IndoorQuerySystem {
         let last_ingest = r.get_opt_u64()?;
         let last_checkpoint = r.get_opt_u64()?;
         let mut collector = DataCollector::decode_state(r)?;
-        let cache = SharedParticleCache::decode_state(r)?;
+        let cache = ParticleCache::decode_state(r)?;
         let rng_state = [r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?];
         let metrics = checkpoint::decode_metrics(r)?;
         if r.remaining() != 0 {
@@ -941,7 +940,7 @@ impl IndoorQuerySystem {
         }
         collector.set_recorder(&self.recorder);
         self.collector = collector;
-        self.cache = ParticleCache::from_shared(cache);
+        self.cache = cache;
         self.rng = StdRng::from_state(rng_state);
         self.recorder.restore(&metrics);
         self.last_ingest_second = last_ingest;

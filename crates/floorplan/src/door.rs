@@ -2,7 +2,6 @@
 
 use crate::{DoorId, HallwayId, RoomId};
 use ripq_geom::Point2;
-use serde::{Deserialize, Serialize};
 
 /// A door connecting a room to a hallway.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// hallway footprints. The walking graph inserts a node at the door's
 /// projection onto the hallway centerline and an edge from there to the
 /// room's center node, so all room entries/exits pass through doors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Door {
     id: DoorId,
     position: Point2,

@@ -2,10 +2,9 @@
 
 use crate::HallwayId;
 use ripq_geom::{Point2, Rect, Segment};
-use serde::{Deserialize, Serialize};
 
 /// Orientation of a hallway's long axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
     /// The hallway runs along the x axis.
     Horizontal,
@@ -20,7 +19,7 @@ pub enum Axis {
 /// be modelled as lines" (§4.2). [`Hallway::centerline`] is that line: the
 /// axis-aligned segment through the middle of the footprint along its long
 /// axis. RFID readers sit on it and the walking graph runs along it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hallway {
     id: HallwayId,
     footprint: Rect,

@@ -4,15 +4,12 @@
 //! ids from different spaces cannot be confused at compile time and can be
 //! used directly as `Vec` indices inside this workspace.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(u32);
 
         impl $name {

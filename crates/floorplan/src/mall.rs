@@ -8,10 +8,9 @@
 
 use crate::{FloorPlan, FloorPlanBuilder, FloorPlanError};
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of the generated mall (meters).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MallParams {
     /// Length of the promenades (x extent).
     pub length: f64,

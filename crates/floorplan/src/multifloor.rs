@@ -14,10 +14,9 @@
 use crate::office::add_office_floor;
 use crate::{FloorPlan, FloorPlanBuilder, FloorPlanError, OfficeParams, RoomId};
 use ripq_geom::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of the generated multi-floor building.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiFloorParams {
     /// Per-floor layout.
     pub floor: OfficeParams,

@@ -9,14 +9,13 @@
 
 use crate::{FloorPlan, FloorPlanBuilder, FloorPlanError};
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of the generated office building (all meters).
 ///
 /// The default values reproduce the paper's setting: 3 horizontal hallways
 /// × (3 + 2) room columns × 2 sides = **30 rooms**, plus the vertical
 /// connector = **4 hallways**.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfficeParams {
     /// Length of each horizontal hallway (x extent of the building).
     pub hallway_length: f64,

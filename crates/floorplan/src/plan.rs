@@ -2,10 +2,9 @@
 
 use crate::{Door, DoorId, Hallway, HallwayId, Room, RoomId};
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Which indoor entity a point lies in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Location {
     /// Inside a room.
     Room(RoomId),
@@ -33,7 +32,7 @@ impl Location {
 /// Construct through [`crate::FloorPlanBuilder`]; a value of this type is
 /// guaranteed to satisfy the invariants listed on the builder (doors on
 /// boundaries, no room overlaps, connected hallway network, …).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FloorPlan {
     pub(crate) rooms: Vec<Room>,
     pub(crate) hallways: Vec<Hallway>,

@@ -2,7 +2,6 @@
 
 use crate::{DoorId, RoomId};
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular room.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// (§4.2). Objects inside a room are treated as uniformly distributed over
 /// its area by the range-query evaluation (Algorithm 3's area-ratio
 /// compensation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Room {
     id: RoomId,
     footprint: Rect,

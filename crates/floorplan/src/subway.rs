@@ -6,10 +6,9 @@
 
 use crate::{FloorPlan, FloorPlanBuilder, FloorPlanError};
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Dimensions of the generated station (meters).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubwayParams {
     /// Platform / concourse length.
     pub length: f64,

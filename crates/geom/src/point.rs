@@ -1,6 +1,5 @@
 //! Planar points and the vector operations RIPQ needs on them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
@@ -10,7 +9,7 @@ use std::ops::{Add, Div, Mul, Sub};
 /// displacement between them, and scalar multiplication scales a
 /// displacement. This mirrors common computational-geometry practice and
 /// avoids a second, nearly identical type.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// Horizontal coordinate (meters).
     pub x: f64,

@@ -1,7 +1,6 @@
 //! Axis-aligned rectangles: rooms, hallways and range-query windows.
 
 use crate::Point2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle described by its min/max corners, in meters.
@@ -10,7 +9,7 @@ use std::fmt;
 /// for room footprints, hallway footprints and range-query windows
 /// (Algorithm 3 of the paper needs rectangle/rectangle intersection areas
 /// for its area-ratio compensation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min: Point2,
     max: Point2,

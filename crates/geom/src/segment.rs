@@ -1,14 +1,13 @@
 //! Line segments: hallway centerlines and walking-graph edges.
 
 use crate::{clamp, Point2, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A directed line segment from `a` to `b`, in meters.
 ///
 /// Walking-graph edges are segments; anchor points and particle positions
 /// are parameterized as an *offset* (arc length from `a`) along a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start point.
     pub a: Point2,

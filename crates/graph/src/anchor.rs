@@ -9,10 +9,9 @@
 use crate::{AnchorId, EdgeId, GraphPos, WalkingGraph};
 use ripq_floorplan::{Axis, FloorPlan, Hallway, HallwayId, Location, RoomId};
 use ripq_geom::{Point2, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A single anchor point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnchorPoint {
     /// This anchor's identifier (dense index).
     pub id: AnchorId,
@@ -26,7 +25,7 @@ pub struct AnchorPoint {
 
 /// The full set of anchor points for a walking graph, with the lookup
 /// structures query evaluation needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AnchorSet {
     anchors: Vec<AnchorPoint>,
     /// Anchor ids per edge, ordered by increasing offset.

@@ -3,10 +3,9 @@
 use crate::{EdgeId, NodeId};
 use ripq_floorplan::{DoorId, HallwayId, RoomId};
 use ripq_geom::{Point2, Segment};
-use serde::{Deserialize, Serialize};
 
 /// What an edge runs through in the floor plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// A stretch of hallway centerline.
     Hallway(HallwayId),
@@ -32,7 +31,7 @@ impl EdgeKind {
 /// Hallway edges are straight (2 waypoints); door-link edges bend at the
 /// door (3 waypoints: portal → door → room center). Offsets are arc lengths
 /// from the first waypoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     points: Vec<Point2>,
     /// Cumulative arc length at each waypoint; `cum[0] = 0`.
@@ -108,7 +107,7 @@ impl Polyline {
 }
 
 /// An edge of the indoor walking graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     /// This edge's identifier (dense index).
     pub id: EdgeId,

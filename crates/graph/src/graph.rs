@@ -3,14 +3,13 @@
 use crate::{Edge, EdgeId, Node, NodeId, NodeKind, ShortestPaths};
 use ripq_floorplan::RoomId;
 use ripq_geom::Point2;
-use serde::{Deserialize, Serialize};
 
 /// A position on the walking graph: an edge plus an arc-length offset from
 /// the edge's `a` node.
 ///
 /// All object, particle and anchor positions in RIPQ are `GraphPos`es —
 /// the paper restricts movement to the edges of `G` (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphPos {
     /// The edge the position lies on.
     pub edge: EdgeId,
@@ -29,7 +28,7 @@ impl GraphPos {
 /// The indoor walking graph: nodes, edges and adjacency.
 ///
 /// Build one from a floor plan with [`crate::build_walking_graph`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WalkingGraph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) edges: Vec<Edge>,

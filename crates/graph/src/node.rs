@@ -3,10 +3,9 @@
 use crate::NodeId;
 use ripq_floorplan::{DoorId, HallwayId, RoomId};
 use ripq_geom::Point2;
-use serde::{Deserialize, Serialize};
 
 /// What a walking-graph node represents in the floor plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A dead end of a hallway centerline.
     HallwayEnd(HallwayId),
@@ -30,7 +29,7 @@ impl NodeKind {
 }
 
 /// A node of the indoor walking graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// This node's identifier (dense index).
     pub id: NodeId,

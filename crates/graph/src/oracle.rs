@@ -37,7 +37,6 @@
 //!   recomputing.
 
 use crate::{AnchorId, AnchorSet, EdgeId, GraphPos, NodeId, Path, ShortestPaths, WalkingGraph};
-use parking_lot::RwLock;
 use ripq_persist::{
     crc32, load_snapshot, seal_snapshot, write_atomic, ByteReader, ByteWriter, PersistError,
 };
@@ -46,10 +45,10 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{PoisonError, RwLock};
 
 /// Which distance machinery the query pipeline routes through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DistanceBackend {
     /// Memoized full-tree Dijkstra per source (the original pipeline).
     #[default]
@@ -340,14 +339,22 @@ impl DistanceOracle {
             (from.edge, from.offset.to_bits()),
             (to.edge, to.offset.to_bits()),
         );
-        if let Some(&d) = self.memo.read().get(&key) {
+        if let Some(&d) = self
+            .memo
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             self.counters
                 .p2p_memo_hits
                 .fetch_add(1, AtomicOrdering::Relaxed);
             return d;
         }
         let d = self.alt_distance(graph, from, to);
-        self.memo.write().insert(key, d);
+        self.memo
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, d);
         d
     }
 

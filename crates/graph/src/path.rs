@@ -7,11 +7,10 @@
 //! as the object advances second by second.
 
 use crate::{EdgeId, GraphPos, WalkingGraph};
-use serde::{Deserialize, Serialize};
 
 /// One traversal of (part of) an edge, from arc offset `from` to `to`
 /// (either direction).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLeg {
     /// The edge traversed.
     pub edge: EdgeId,
@@ -30,7 +29,7 @@ impl PathLeg {
 }
 
 /// A route between two graph positions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     legs: Vec<PathLeg>,
     /// Cumulative length *before* each leg; `cum[i]` = distance travelled

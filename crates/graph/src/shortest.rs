@@ -8,11 +8,10 @@
 //! generator.
 
 use crate::{EdgeId, GraphPos, NodeId, Path, WalkingGraph};
-use parking_lot::RwLock;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Max-heap entry ordered so the smallest distance pops first.
 #[derive(PartialEq)]
@@ -266,7 +265,12 @@ impl ShortestPathCache {
     /// The shortest-path tree from `from`, computed on first use.
     pub fn paths(&self, graph: &WalkingGraph, from: GraphPos) -> Arc<ShortestPaths> {
         let key: SourceKey = (from.edge, from.offset.to_bits());
-        if let Some(sp) = self.entries.read().get(&key) {
+        if let Some(sp) = self
+            .entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             self.hits.fetch_add(1, AtomicOrdering::Relaxed);
             return Arc::clone(sp);
         }
@@ -275,24 +279,33 @@ impl ShortestPathCache {
         // source produce identical trees, and the entry API keeps the
         // first one inserted.
         let sp = Arc::new(ShortestPaths::from_pos(graph, from));
-        let mut entries = self.entries.write();
+        let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(entries.entry(key).or_insert(sp))
     }
 
     /// Number of distinct memoized sources.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        self.entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// `true` when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_empty()
     }
 
     /// Drops all memoized trees (e.g. after the graph changes). The
     /// hit/miss counters keep accumulating across clears.
     pub fn clear(&self) {
-        self.entries.write().clear();
+        self.entries
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Memoization counters accumulated since construction.

@@ -3,16 +3,15 @@
 //! [`MetricsSnapshot`] is all-`BTreeMap`, all-integer state, so two
 //! snapshots with the same recorded values compare equal and render to
 //! byte-identical JSON — the property the determinism tests pin down.
-//! JSON is hand-rolled (the vendored serde stand-in has no serializer);
+//! JSON is hand-rolled (the build has no serializer dependency);
 //! the format is stable: two-space indent, name-ordered keys, integers
 //! only.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Aggregate statistics of one span path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanStat {
     /// How many times the span was recorded.
     pub count: u64,
@@ -21,7 +20,7 @@ pub struct SpanStat {
 }
 
 /// Point-in-time state of one histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
     pub count: u64,
@@ -43,7 +42,7 @@ pub struct HistogramSnapshot {
 /// state ⇒ equal snapshots ⇒ byte-identical [`MetricsSnapshot::to_json`]
 /// output. Under `TimingMode::Logical` a full pipeline run reproduces
 /// this bit-for-bit across runs and worker counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Monotone counters, `stage.metric` → value.
     pub counters: BTreeMap<String, u64>,

@@ -14,11 +14,10 @@
 
 use crate::IndoorState;
 use ripq_graph::AnchorSet;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// KLD-sampling parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KldConfig {
     /// Lower bound on the particle count.
     pub min_particles: usize,

@@ -12,23 +12,19 @@
 //! device" — implemented by keying each entry with the identity of the
 //! detection episode it was filtered under.
 //!
-//! Two front ends share one implementation:
-//!
-//! * [`SharedParticleCache`] — sharded, internally synchronized (`&self`
-//!   throughout), usable concurrently from the parallel preprocessing
-//!   workers. Each object maps to exactly one shard, and the hit/miss/
-//!   invalidation counters are atomics, so the statistics are the same
-//!   whatever order objects are processed in.
-//! * [`ParticleCache`] — the original single-threaded `&mut self` API,
-//!   now a thin veneer over a [`SharedParticleCache`].
+//! [`ParticleCache`] is sharded and internally synchronized (`&self`
+//! throughout), so the parallel preprocessing workers share one instance.
+//! Each object maps to exactly one shard, and the hit/miss/invalidation
+//! counters are atomics, so the statistics are the same whatever order
+//! objects are processed in.
 
 use crate::{Heading, IndoorState};
-use parking_lot::Mutex;
 use ripq_graph::{EdgeId, GraphPos};
 use ripq_persist::{ByteReader, ByteWriter, PersistError};
 use ripq_rfid::{ObjectId, ReaderId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An episode identity: the most recent detecting reader plus the second
 /// its episode began. A new episode (new device, or the same device after
@@ -66,6 +62,14 @@ impl CacheStats {
     }
 }
 
+/// Locks `mutex`, recovering the guard if a panic poisoned it. Every
+/// critical section in this crate is a single map or slot operation, so the
+/// data stays consistent, and a filter panic caught by supervision must not
+/// turn into a pass-wide one.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Number of independently locked shards. Objects hash to shards by id, so
 /// concurrent workers mostly touch different locks.
 const SHARDS: usize = 16;
@@ -79,16 +83,16 @@ const SHARDS: usize = 16;
 /// set is independent of the order (or thread) the objects were processed
 /// on.
 #[derive(Debug)]
-pub struct SharedParticleCache {
+pub struct ParticleCache {
     shards: Vec<Mutex<HashMap<ObjectId, CacheEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
 }
 
-impl Default for SharedParticleCache {
+impl Default for ParticleCache {
     fn default() -> Self {
-        SharedParticleCache {
+        ParticleCache {
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -97,14 +101,15 @@ impl Default for SharedParticleCache {
     }
 }
 
-impl SharedParticleCache {
+impl ParticleCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn shard(&self, object: ObjectId) -> &Mutex<HashMap<ObjectId, CacheEntry>> {
-        &self.shards[object.raw() as usize % SHARDS]
+    /// Locks the shard of `object`.
+    fn shard(&self, object: ObjectId) -> MutexGuard<'_, HashMap<ObjectId, CacheEntry>> {
+        lock(&self.shards[object.raw() as usize % SHARDS])
     }
 
     /// Looks up reusable particles for `object`, valid only if they were
@@ -115,7 +120,7 @@ impl SharedParticleCache {
         object: ObjectId,
         current_episode: EpisodeKey,
     ) -> Option<(Vec<IndoorState>, u64)> {
-        let mut shard = self.shard(object).lock();
+        let mut shard = self.shard(object);
         match shard.get(&object) {
             Some(e) if e.episode == current_episode => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -141,7 +146,7 @@ impl SharedParticleCache {
     /// to classify an upcoming invalidation: same reader, new episode =
     /// an outage-style gap; different reader = a device handoff.
     pub fn cached_episode(&self, object: ObjectId) -> Option<EpisodeKey> {
-        self.shard(object).lock().get(&object).map(|e| e.episode)
+        self.shard(object).get(&object).map(|e| e.episode)
     }
 
     /// Stores the post-filtering particle states of `object` at simulated
@@ -154,7 +159,7 @@ impl SharedParticleCache {
         timestamp: u64,
         episode: EpisodeKey,
     ) {
-        self.shard(object).lock().insert(
+        self.shard(object).insert(
             object,
             CacheEntry {
                 particles,
@@ -166,19 +171,19 @@ impl SharedParticleCache {
 
     /// Drops an object's entry.
     pub fn invalidate(&self, object: ObjectId) {
-        if self.shard(object).lock().remove(&object).is_some() {
+        if self.shard(object).remove(&object).is_some() {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// `true` when no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
+        self.shards.iter().all(|s| lock(s).is_empty())
     }
 
     /// Hit/miss counters.
@@ -190,13 +195,6 @@ impl SharedParticleCache {
         }
     }
 
-    /// Clears all entries (keeps statistics).
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
-    }
-
     /// Appends the cache's full state — every entry plus the hit/miss
     /// counters — to `w` in the canonical checkpoint encoding (entries
     /// sorted by object id, so equal state always encodes identically
@@ -204,7 +202,7 @@ impl SharedParticleCache {
     pub fn encode_state(&self, w: &mut ByteWriter) {
         let mut entries: Vec<(ObjectId, CacheEntry)> = Vec::new();
         for shard in &self.shards {
-            for (&o, e) in shard.lock().iter() {
+            for (&o, e) in lock(shard).iter() {
                 entries.push((o, e.clone()));
             }
         }
@@ -229,10 +227,10 @@ impl SharedParticleCache {
     }
 
     /// Rebuilds a cache from bytes written by
-    /// [`SharedParticleCache::encode_state`]. Any truncation or invalid
+    /// [`ParticleCache::encode_state`]. Any truncation or invalid
     /// tag is [`PersistError::Torn`].
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<SharedParticleCache, PersistError> {
-        let cache = SharedParticleCache::new();
+    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<ParticleCache, PersistError> {
+        let cache = ParticleCache::new();
         let n_entries = r.get_seq_len(28)?;
         for _ in 0..n_entries {
             let object = ObjectId::new(r.get_u32()?);
@@ -264,87 +262,6 @@ impl SharedParticleCache {
     }
 }
 
-/// Particle-state cache, one entry per object — the single-owner API.
-#[derive(Debug, Default)]
-pub struct ParticleCache {
-    inner: SharedParticleCache,
-}
-
-impl ParticleCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an already-populated shared cache — e.g. one decoded from a
-    /// checkpoint via [`SharedParticleCache::decode_state`] — in the
-    /// single-owner API.
-    pub fn from_shared(inner: SharedParticleCache) -> Self {
-        ParticleCache { inner }
-    }
-
-    /// The internally synchronized cache backing this one, for handing to
-    /// the parallel preprocessing path.
-    pub fn shared(&self) -> &SharedParticleCache {
-        &self.inner
-    }
-
-    /// Looks up reusable particles for `object`, valid only if they were
-    /// filtered under the same detection episode `current_episode`.
-    /// Returns the cached states and their timestamp on a hit.
-    pub fn lookup(
-        &mut self,
-        object: ObjectId,
-        current_episode: EpisodeKey,
-    ) -> Option<(Vec<IndoorState>, u64)> {
-        self.inner.lookup(object, current_episode)
-    }
-
-    /// Stores the post-filtering particle states of `object` at simulated
-    /// second `timestamp`, tagged with the episode they were filtered
-    /// under.
-    pub fn store(
-        &mut self,
-        object: ObjectId,
-        particles: Vec<IndoorState>,
-        timestamp: u64,
-        episode: EpisodeKey,
-    ) {
-        self.inner.store(object, particles, timestamp, episode);
-    }
-
-    /// The episode a cached entry (if any) was filtered under, without
-    /// touching the hit/miss statistics.
-    pub fn cached_episode(&self, object: ObjectId) -> Option<EpisodeKey> {
-        self.inner.cached_episode(object)
-    }
-
-    /// Drops an object's entry.
-    pub fn invalidate(&mut self, object: ObjectId) {
-        self.inner.invalidate(object);
-    }
-
-    /// Number of cached objects.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Clears all entries (keeps statistics).
-    pub fn clear(&mut self) {
-        self.inner.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +282,7 @@ mod tests {
 
     #[test]
     fn store_then_hit() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(1.0)], 110, EP1);
         let (states, t) = c.lookup(O, EP1).expect("hit");
         assert_eq!(states.len(), 1);
@@ -376,7 +293,7 @@ mod tests {
 
     #[test]
     fn new_episode_invalidates() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(1.0)], 110, EP1);
         assert!(c.lookup(O, EP2).is_none());
         assert_eq!(c.stats().invalidations, 1);
@@ -388,7 +305,7 @@ mod tests {
 
     #[test]
     fn unknown_object_misses() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         assert!(c.lookup(O, EP1).is_none());
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().hit_rate(), 0.0);
@@ -396,7 +313,7 @@ mod tests {
 
     #[test]
     fn hit_rate_math() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(0.0)], 5, EP1);
         let _ = c.lookup(O, EP1);
         let _ = c.lookup(O, EP1);
@@ -406,7 +323,7 @@ mod tests {
 
     #[test]
     fn explicit_invalidation() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(0.0)], 5, EP1);
         c.invalidate(O);
         assert!(c.is_empty());
@@ -418,7 +335,7 @@ mod tests {
 
     #[test]
     fn store_overwrites() {
-        let mut c = ParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(0.0)], 5, EP1);
         c.store(O, vec![particle(9.0), particle(8.0)], 7, EP1);
         let (states, t) = c.lookup(O, EP1).unwrap();
@@ -429,7 +346,7 @@ mod tests {
 
     #[test]
     fn shared_cache_is_usable_from_many_threads() {
-        let c = SharedParticleCache::new();
+        let c = ParticleCache::new();
         std::thread::scope(|scope| {
             for w in 0..4u32 {
                 let c = &c;
@@ -453,9 +370,23 @@ mod tests {
     }
 
     #[test]
+    fn panic_while_a_shard_is_locked_does_not_poison_the_cache() {
+        let c = ParticleCache::new();
+        c.store(O, vec![particle(1.0)], 5, EP1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _shard = c.shard(O);
+            panic!("filter fault while the shard is locked");
+        }));
+        assert!(caught.is_err());
+        assert!(c.lookup(O, EP1).is_some());
+        c.store(O, vec![particle(2.0)], 6, EP1);
+        assert_eq!(c.len(), 1);
+    }
+
+    #[test]
     fn state_codec_round_trips_and_is_canonical() {
         let build = || {
-            let c = SharedParticleCache::new();
+            let c = ParticleCache::new();
             // Objects across different shards, some traffic for counters.
             for i in [0u32, 3, 16, 17, 40] {
                 let o = ObjectId::new(i);
@@ -481,7 +412,7 @@ mod tests {
         assert_eq!(bytes, w2.into_bytes(), "encoding is not canonical");
 
         let mut r = ByteReader::new(&bytes);
-        let d = SharedParticleCache::decode_state(&mut r).unwrap();
+        let d = ParticleCache::decode_state(&mut r).unwrap();
         r.finish().unwrap();
 
         assert_eq!(d.stats(), c.stats());
@@ -501,7 +432,7 @@ mod tests {
 
     #[test]
     fn truncated_cache_state_is_torn_not_a_panic() {
-        let c = SharedParticleCache::new();
+        let c = ParticleCache::new();
         c.store(O, vec![particle(1.0), particle(2.0)], 9, EP1);
         let mut w = ByteWriter::new();
         c.encode_state(&mut w);
@@ -509,23 +440,10 @@ mod tests {
         for cut in [0, 3, 11, bytes.len() / 2, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut]);
             assert_eq!(
-                SharedParticleCache::decode_state(&mut r).unwrap_err(),
+                ParticleCache::decode_state(&mut r).unwrap_err(),
                 PersistError::Torn,
                 "cut at {cut} not detected"
             );
         }
-    }
-
-    #[test]
-    fn veneer_and_shared_views_agree() {
-        let mut c = ParticleCache::new();
-        c.store(O, vec![particle(2.0)], 8, EP1);
-        assert_eq!(c.shared().len(), 1);
-        assert!(c.shared().lookup(O, EP1).is_some());
-        // The shared view's traffic is visible through the veneer.
-        assert_eq!(c.stats().hits, 1);
-        c.clear();
-        assert!(c.shared().is_empty());
-        assert_eq!(c.stats().hits, 1, "clear keeps statistics");
     }
 }

@@ -7,10 +7,9 @@
 use crate::IndoorState;
 use ripq_graph::WalkingGraph;
 use ripq_rfid::Reader;
-use serde::{Deserialize, Serialize};
 
 /// Binary in-range / out-of-range observation likelihood.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementModel {
     /// Likelihood assigned to particles inside the detecting reader's
     /// activation range.

@@ -9,10 +9,9 @@ use crate::{Heading, IndoorState};
 use rand::Rng;
 use rand_distr::{Distribution, Normal};
 use ripq_graph::{GraphPos, NodeKind, WalkingGraph};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the motion model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotionModel {
     /// Mean walking speed (paper: μ = 1 m/s).
     pub speed_mean: f64,

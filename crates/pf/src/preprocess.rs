@@ -12,19 +12,18 @@
 //!
 //! Objects are independent once the shared world state (graph, anchors,
 //! readers, cache) is read-only or internally synchronized, so
-//! [`ParticlePreprocessor::process_streamed`] can fan candidates out over
-//! worker threads. To keep the output *bit-identical* regardless of the
+//! [`ParticlePreprocessor::process`] can fan candidates out over worker
+//! threads. To keep the output *bit-identical* regardless of the
 //! worker count, each object draws from its own RNG stream, derived
 //! deterministically from `(pass_seed, object id, resume timestamp)` by
 //! [`derive_stream_seed`] — no draw ever depends on which objects were
 //! processed before it, or on which thread it ran.
 
-use crate::cache::EpisodeKey;
+use crate::cache::{lock, EpisodeKey};
 use crate::{
     seed_particles, IndoorState, KldConfig, MeasurementModel, MotionModel, ParticleCache,
-    ParticleFilter, SharedParticleCache,
+    ParticleFilter,
 };
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripq_graph::{
@@ -32,11 +31,11 @@ use ripq_graph::{
 };
 use ripq_obs::{Counter, Histogram, Recorder};
 use ripq_rfid::{ObjectId, Reader, ReaderId, ReadingStore};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Derives the seed of one object's private RNG stream for one
 /// preprocessing pass.
@@ -49,16 +48,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// independent of processing order, which is what makes the parallel
 /// fan-out bit-identical to the sequential loop.
 pub fn derive_stream_seed(pass_seed: u64, object: ObjectId, resume_timestamp: u64) -> u64 {
-    let mut state = pass_seed;
-    let mut out = rand::split_mix64(&mut state);
-    state ^= u64::from(object.raw()).rotate_left(32);
-    out ^= rand::split_mix64(&mut state);
-    state ^= resume_timestamp;
-    out ^ rand::split_mix64(&mut state)
+    rand::mix_seed(
+        pass_seed,
+        &[u64::from(object.raw()).rotate_left(32), resume_timestamp],
+    )
 }
 
 /// Tuning parameters of Algorithm 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreprocessorConfig {
     /// Number of particles per object (`Ns`; Table 2 default: 64).
     pub num_particles: usize,
@@ -109,26 +106,10 @@ impl Default for PreprocessorConfig {
     }
 }
 
-/// Result of preprocessing one object.
-#[derive(Debug, Clone)]
-pub struct PreprocessOutcome {
-    /// The object's inferred location distribution over anchor points
-    /// (sums to 1).
-    pub distribution: Vec<(AnchorId, f64)>,
-    /// Final particle states (what the cache stores).
-    pub particles: Vec<IndoorState>,
-    /// Second the final states correspond to.
-    pub timestamp: u64,
-    /// Whether cached particles were resumed instead of reseeding.
-    pub resumed_from_cache: bool,
-    /// Number of filter seconds actually simulated.
-    pub seconds_simulated: u64,
-}
-
 /// How much of the full particle-filter pipeline produced an object's
 /// answer distribution, ordered from best to worst. A query's overall
 /// level is the maximum over the objects it touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DegradationLevel {
     /// Full Algorithm 2 run at the configured particle count.
     Full,
@@ -156,7 +137,7 @@ impl fmt::Display for DegradationLevel {
     }
 }
 
-/// Knobs of [`ParticlePreprocessor::process_supervised`]: worker
+/// Knobs of [`ParticlePreprocessor::process`]: worker
 /// isolation, bounded retry and the per-pass evaluation budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionOptions {
@@ -185,23 +166,11 @@ impl Default for SupervisionOptions {
     }
 }
 
-/// Output of [`ParticlePreprocessor::process_supervised`]: the assembled
-/// `APtoObjHT` index plus the degradation level each candidate's answer
-/// was produced at.
-#[derive(Debug)]
-pub struct SupervisedOutput {
-    /// Anchor→object index over all answered candidates.
-    pub index: AnchorObjectIndex<ObjectId>,
-    /// Per-object degradation level (objects the collector has never
-    /// seen are absent, exactly as they are absent from the index).
-    pub degradation: BTreeMap<ObjectId, DegradationLevel>,
-}
-
 /// Everything [`ParticlePreprocessor::filter_object`] needs that was
 /// decided *before* any random draw: the episode identity, the simulation
 /// window, and the (already consumed) cache-lookup result. Splitting this
-/// out lets the streamed path derive the per-object RNG from the resume
-/// timestamp before the filter body runs.
+/// out lets the pass derive the per-object RNG from the resume timestamp
+/// before the filter body runs.
 struct ObjectPlan {
     episode_key: EpisodeKey,
     /// `tmin = min(td + coast, now)` — Algorithm 2 line 6.
@@ -325,7 +294,7 @@ impl<'a> ParticlePreprocessor<'a> {
         collector: &S,
         object: ObjectId,
         now: u64,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
     ) -> Option<ObjectPlan> {
         let agg = collector.aggregated(object)?;
         let (_, td) = collector.last_detection(object)?;
@@ -370,34 +339,22 @@ impl<'a> ParticlePreprocessor<'a> {
     /// Lines 7–36 of Algorithm 2: seed or resume the filter, replay the
     /// aggregated readings up to `tmin`, store back into the cache, snap
     /// to anchors. All random draws of the pass happen here, in a fixed
-    /// order independent of other objects.
+    /// order independent of other objects. `particles_override` is the
+    /// degraded-evaluation path: the same filter with fewer particles
+    /// instead of a different algorithm.
     ///
-    /// Returns `None` only if the object vanished from the collector
-    /// between planning and filtering (impossible for the sequential
-    /// callers, unobservable but handled for the supervised fan-out).
+    /// Returns the object's distribution over anchor points, or `None`
+    /// only if the object vanished from the collector between planning and
+    /// filtering (unobservable, but handled for the supervised fan-out).
     fn filter_object<R: Rng, S: ReadingStore + ?Sized>(
         &self,
         rng: &mut R,
         collector: &S,
         object: ObjectId,
-        plan: ObjectPlan,
-        cache: Option<&SharedParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        self.filter_object_sized(rng, collector, object, plan, cache, None)
-    }
-
-    /// [`ParticlePreprocessor::filter_object`] with an optional particle
-    /// count override — the degraded-evaluation path runs the same filter
-    /// with fewer particles instead of a different algorithm.
-    fn filter_object_sized<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        object: ObjectId,
         mut plan: ObjectPlan,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
         particles_override: Option<usize>,
-    ) -> Option<PreprocessOutcome> {
+    ) -> Option<Vec<(AnchorId, f64)>> {
         let agg = collector.aggregated(object)?;
         let num_particles = particles_override.unwrap_or(self.config.num_particles);
         if let (Some(n), Some((states, _))) = (particles_override, plan.cached.as_mut()) {
@@ -412,14 +369,11 @@ impl<'a> ParticlePreprocessor<'a> {
                 .resume_depth
                 .observe(plan.resume_timestamp.saturating_sub(plan.agg_start));
         }
-        let (mut filter, start, resumed) = match plan.cached {
-            Some((states, t)) if t <= plan.tmin => {
-                (ParticleFilter::from_states(states), t + 1, true)
-            }
-            Some((states, t)) => {
+        let (mut filter, start) = match plan.cached {
+            Some((states, t)) if t <= plan.tmin => (ParticleFilter::from_states(states), t + 1),
+            Some((states, _)) => {
                 // Cached states are already at/after tmin: reuse directly.
-                let filter = ParticleFilter::from_states(states);
-                return Some(self.finish(filter, t, true, 0));
+                return Some(self.finish(ParticleFilter::from_states(states), 0));
             }
             None => {
                 // Fresh start: seed within the second-most-recent device's
@@ -431,11 +385,7 @@ impl<'a> ParticlePreprocessor<'a> {
                     &self.config.motion,
                     num_particles,
                 );
-                (
-                    ParticleFilter::from_states(seeds),
-                    plan.agg_start + 1,
-                    false,
-                )
+                (ParticleFilter::from_states(seeds), plan.agg_start + 1)
             }
         };
 
@@ -512,53 +462,7 @@ impl<'a> ParticlePreprocessor<'a> {
                 plan.episode_key,
             );
         }
-        Some(self.finish(filter, timestamp, resumed, simulated))
-    }
-
-    /// Runs Algorithm 2 for one object. Returns `None` when the collector
-    /// has never seen the object (no readings → no inference possible).
-    pub fn process_object<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        object: ObjectId,
-        now: u64,
-        cache: Option<&mut ParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        let shared = cache.map(|c| c.shared());
-        self.process_object_shared(rng, collector, object, now, shared)
-    }
-
-    /// [`ParticlePreprocessor::process_object`] against the internally
-    /// synchronized cache, with a caller-supplied RNG.
-    pub fn process_object_shared<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        object: ObjectId,
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        let plan = self.plan_object(collector, object, now, cache)?;
-        self.filter_object(rng, collector, object, plan, cache)
-    }
-
-    /// Runs Algorithm 2 for one object on its own deterministic RNG
-    /// stream, derived from `(pass_seed, object, resume timestamp)` — see
-    /// [`derive_stream_seed`]. The result does not depend on what other
-    /// objects were processed in the same pass.
-    pub fn process_object_streamed<S: ReadingStore + ?Sized>(
-        &self,
-        pass_seed: u64,
-        collector: &S,
-        object: ObjectId,
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-    ) -> Option<PreprocessOutcome> {
-        let plan = self.plan_object(collector, object, now, cache)?;
-        let mut rng =
-            StdRng::seed_from_u64(derive_stream_seed(pass_seed, object, plan.resume_timestamp));
-        self.filter_object(&mut rng, collector, object, plan, cache)
+        Some(self.finish(filter, simulated))
     }
 
     /// Resamples, adapting the output size per KLD-sampling when enabled.
@@ -572,88 +476,17 @@ impl<'a> ParticlePreprocessor<'a> {
         }
     }
 
-    fn finish(
-        &self,
-        filter: ParticleFilter<IndoorState>,
-        timestamp: u64,
-        resumed: bool,
-        simulated: u64,
-    ) -> PreprocessOutcome {
+    fn finish(&self, filter: ParticleFilter<IndoorState>, simulated: u64) -> Vec<(AnchorId, f64)> {
         self.metrics.objects.inc();
         self.metrics.sir_iterations.add(simulated);
         self.metrics.final_particles.observe(filter.len() as u64);
         // Lines 32–36: snap each particle to its nearest anchor point;
         // p(o at ap) = n/Ns.
         let n = filter.len() as f64;
-        let particles = filter.into_states();
-        let distribution = self.anchors.kde_distribution(
-            particles.iter().map(|s| (s.pos, 1.0 / n)),
+        self.anchors.kde_distribution(
+            filter.states().iter().map(|s| (s.pos, 1.0 / n)),
             self.config.kde_bandwidth,
-        );
-        PreprocessOutcome {
-            distribution,
-            particles,
-            timestamp,
-            resumed_from_cache: resumed,
-            seconds_simulated: simulated,
-        }
-    }
-
-    /// Runs Algorithm 2 for every candidate and assembles the `APtoObjHT`
-    /// index consumed by query evaluation.
-    ///
-    /// Sequential, single-RNG-stream variant: every object consumes draws
-    /// from the shared `rng`, so results depend on the candidate order.
-    /// Kept for callers that thread one generator through everything; the
-    /// facade and experiment harness use
-    /// [`ParticlePreprocessor::process_streamed`].
-    pub fn process<R: Rng, S: ReadingStore + ?Sized>(
-        &self,
-        rng: &mut R,
-        collector: &S,
-        candidates: &[ObjectId],
-        now: u64,
-        mut cache: Option<&mut ParticleCache>,
-    ) -> AnchorObjectIndex<ObjectId> {
-        let mut index = AnchorObjectIndex::new();
-        for &o in candidates {
-            if let Some(outcome) = self.process_object(rng, collector, o, now, cache.as_deref_mut())
-            {
-                index.set_object(o, outcome.distribution);
-            }
-        }
-        index
-    }
-
-    /// Runs Algorithm 2 for every candidate on per-object RNG streams and
-    /// assembles the `APtoObjHT` index, optionally fanning the candidates
-    /// out over `parallelism` worker threads.
-    ///
-    /// `parallelism` of `None` (or `Some(0|1)`) runs on the calling
-    /// thread. Any worker count produces bit-identical output: each
-    /// object's draws come from its own stream (see
-    /// [`derive_stream_seed`]), the shared cache is sharded per object
-    /// with commutative statistics, and results are merged back in
-    /// candidate order.
-    pub fn process_streamed<S: ReadingStore + Sync + ?Sized>(
-        &self,
-        pass_seed: u64,
-        collector: &S,
-        candidates: &[ObjectId],
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-        parallelism: Option<usize>,
-    ) -> AnchorObjectIndex<ObjectId> {
-        self.process_supervised(
-            pass_seed,
-            collector,
-            candidates,
-            now,
-            cache,
-            parallelism,
-            &SupervisionOptions::default(),
         )
-        .index
     }
 
     /// The weakest answer the readings still support: a uniform
@@ -706,7 +539,7 @@ impl<'a> ParticlePreprocessor<'a> {
         mut plan: Option<ObjectPlan>,
         level: DegradationLevel,
         now: u64,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
         options: &SupervisionOptions,
     ) -> Option<(Vec<(AnchorId, f64)>, DegradationLevel)> {
         if matches!(level, DegradationLevel::UniformFallback) {
@@ -747,10 +580,10 @@ impl<'a> ParticlePreprocessor<'a> {
                     panic!("injected particle-filter fault (attempt {attempt})");
                 }
                 let mut rng = StdRng::seed_from_u64(derive_stream_seed(pass_seed, object, resume));
-                self.filter_object_sized(&mut rng, collector, object, p, cache, particles_override)
+                self.filter_object(&mut rng, collector, object, p, cache, particles_override)
             }));
             match result {
-                Ok(out) => return out.map(|o| (o.distribution, level)),
+                Ok(out) => return out.map(|d| (d, level)),
                 Err(_) => {
                     self.recorder.add("degrade.pf_panics", 1);
                     // Whatever half-updated states the panicking attempt
@@ -771,71 +604,50 @@ impl<'a> ParticlePreprocessor<'a> {
         }
     }
 
-    /// [`ParticlePreprocessor::process_streamed`] with worker supervision
-    /// and deadline budgeting — the crash-safe evaluation path.
+    /// Runs Algorithm 2 for every candidate and applies the answers to the
+    /// caller-owned `APtoObjHT` `index` — the one way to run the particle
+    /// filter.
     ///
-    /// Three deterministic phases:
+    /// Each object draws from its own RNG stream, derived from `pass_seed`
+    /// by [`derive_stream_seed`], so no draw depends on candidate order or
+    /// on the worker it ran on. Three deterministic phases:
     ///
     /// 1. **Plan** (sequential, candidate order): lines 1–6 of Algorithm 2
     ///    plus the cache lookup for every candidate. All metric updates
-    ///    commute, so planning everything up front is bit-identical to the
-    ///    previous plan/filter interleaving.
+    ///    commute, so planning everything up front is bit-identical to
+    ///    interleaving plan and filter per object.
     /// 2. **Budget** (sequential, candidate order): each object's filter
     ///    cost is `simulated seconds × particle count` — a logical-clock
     ///    model, so the ladder decisions are reproducible. Objects run
     ///    full-size while the budget lasts, then at the KLD floor, then
     ///    degrade to the uniform pruning-circle fallback.
-    /// 3. **Filter** (fan-out over `parallelism` workers): each object
-    ///    runs under `catch_unwind` isolation with bounded retry; a
-    ///    persistently panicking object is quarantined with a fallback
-    ///    answer instead of aborting the pass. Results merge in candidate
-    ///    order, so any worker count stays bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process_supervised<S: ReadingStore + Sync + ?Sized>(
-        &self,
-        pass_seed: u64,
-        collector: &S,
-        candidates: &[ObjectId],
-        now: u64,
-        cache: Option<&SharedParticleCache>,
-        parallelism: Option<usize>,
-        options: &SupervisionOptions,
-    ) -> SupervisedOutput {
-        let mut index = AnchorObjectIndex::new();
-        let (degradation, _) = self.process_supervised_into(
-            pass_seed,
-            collector,
-            candidates,
-            now,
-            cache,
-            parallelism,
-            options,
-            &mut index,
-        );
-        SupervisedOutput { index, degradation }
-    }
-
-    /// [`ParticlePreprocessor::process_supervised`] applied as an
-    /// *incremental* maintenance pass over a caller-owned `APtoObjHT`:
-    /// objects that left the answered set are retracted, answered objects
-    /// are applied as deltas ([`AnchorObjectIndex::apply_object`]), and a
-    /// bit-identical stored distribution costs no structural work at all.
-    /// Because per-anchor lists are kept sorted by object key, the index
-    /// after any delta sequence equals a from-scratch rebuild of the same
-    /// answer set — so this path returns exactly what
-    /// [`ParticlePreprocessor::process_supervised`] would have built.
+    /// 3. **Filter** (fan-out over `parallelism` workers; `None` or
+    ///    `Some(0|1)` runs on the calling thread): each object runs under
+    ///    `catch_unwind` isolation with bounded retry; a persistently
+    ///    panicking object is quarantined with a fallback answer instead of
+    ///    aborting the pass. Results merge in candidate order, so any
+    ///    worker count stays bit-identical.
     ///
-    /// Returns the per-object degradation levels plus the
-    /// [`IndexDeltaStats`] of this pass (the `index.delta_*`
+    /// The index is maintained *incrementally*: objects that left the
+    /// answered set are retracted, answered objects are applied as deltas
+    /// ([`AnchorObjectIndex::apply_object`]), and a bit-identical stored
+    /// distribution costs no structural work at all. Because per-anchor
+    /// lists are kept sorted by object key, the index after any delta
+    /// sequence equals a from-scratch rebuild of the same answer set; pass
+    /// a fresh index for a one-off build.
+    ///
+    /// Returns the per-object degradation levels (objects the collector
+    /// has never seen are absent, exactly as they are absent from the
+    /// index) plus the [`IndexDeltaStats`] of this pass (the `index.delta_*`
     /// observability family).
     #[allow(clippy::too_many_arguments)]
-    pub fn process_supervised_into<S: ReadingStore + Sync + ?Sized>(
+    pub fn process<S: ReadingStore + Sync + ?Sized>(
         &self,
         pass_seed: u64,
         collector: &S,
         candidates: &[ObjectId],
         now: u64,
-        cache: Option<&SharedParticleCache>,
+        cache: Option<&ParticleCache>,
         parallelism: Option<usize>,
         options: &SupervisionOptions,
         index: &mut AnchorObjectIndex<ObjectId>,
@@ -919,7 +731,7 @@ impl<'a> ParticlePreprocessor<'a> {
                                 if i >= slots.len() {
                                     break;
                                 }
-                                let Some((idx, o, plan, level)) = slots[i].lock().take() else {
+                                let Some((idx, o, plan, level)) = lock(&slots[i]).take() else {
                                     continue;
                                 };
                                 if let Some((d, lv)) = self.run_supervised_object(
@@ -928,7 +740,7 @@ impl<'a> ParticlePreprocessor<'a> {
                                     local.push((idx, o, d, lv));
                                 }
                             }
-                            collected.lock().extend(local);
+                            lock(&collected).extend(local);
                         })
                     })
                     .collect();
@@ -940,7 +752,9 @@ impl<'a> ParticlePreprocessor<'a> {
                     let _ = h.join();
                 }
             });
-            let mut merged = collected.into_inner();
+            let mut merged = collected
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
             merged.sort_unstable_by_key(|&(i, _, _, _)| i);
             merged
         };
@@ -972,6 +786,7 @@ mod tests {
     use rand::SeedableRng;
     use ripq_floorplan::{office_building, OfficeParams};
     use ripq_graph::build_walking_graph;
+    use ripq_obs::Recorder;
     use ripq_rfid::{deploy_uniform, DataCollector};
 
     struct World {
@@ -994,6 +809,68 @@ mod tests {
     }
 
     const O: ObjectId = ObjectId::new(0);
+
+    /// What one object's filter run did, read back from its `pf.*`
+    /// metrics.
+    struct Observed {
+        distribution: Vec<(AnchorId, f64)>,
+        resumed_from_cache: bool,
+        seconds_simulated: u64,
+        final_particles: u64,
+    }
+
+    /// Plans and filters one object on the caller's RNG, observed through
+    /// a fresh recorder. `None` when the collector has never seen it.
+    fn run_object(
+        w: &World,
+        config: PreprocessorConfig,
+        rng: &mut StdRng,
+        c: &DataCollector,
+        now: u64,
+        cache: Option<&ParticleCache>,
+    ) -> Option<Observed> {
+        let recorder = Recorder::enabled();
+        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, config)
+            .with_recorder(&recorder);
+        let plan = pre.plan_object(c, O, now, cache)?;
+        let distribution = pre.filter_object(rng, c, O, plan, cache, None)?;
+        let snap = recorder.snapshot();
+        Some(Observed {
+            distribution,
+            resumed_from_cache: snap.counters["pf.cache_resumes"] > 0,
+            seconds_simulated: snap.counters["pf.sir_iterations"],
+            final_particles: snap.histograms["pf.final_particles"].max,
+        })
+    }
+
+    /// One pass into a fresh index: the index plus each object's level.
+    #[allow(clippy::too_many_arguments)]
+    fn pass(
+        pre: &ParticlePreprocessor<'_>,
+        pass_seed: u64,
+        c: &DataCollector,
+        candidates: &[ObjectId],
+        now: u64,
+        cache: Option<&ParticleCache>,
+        parallelism: Option<usize>,
+        options: &SupervisionOptions,
+    ) -> (
+        AnchorObjectIndex<ObjectId>,
+        BTreeMap<ObjectId, DegradationLevel>,
+    ) {
+        let mut index = AnchorObjectIndex::new();
+        let (levels, _) = pre.process(
+            pass_seed,
+            c,
+            candidates,
+            now,
+            cache,
+            parallelism,
+            options,
+            &mut index,
+        );
+        (index, levels)
+    }
 
     /// Feeds the collector a synthetic walk past two adjacent readers on
     /// the same hallway, left to right.
@@ -1034,20 +911,13 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
         let mut rng = StdRng::seed_from_u64(20);
-        let out = pre
-            .process_object(&mut rng, &c, O, now, None)
+        let out = run_object(&w, PreprocessorConfig::default(), &mut rng, &c, now, None)
             .expect("object known");
         let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9, "total {total}");
         assert!(!out.resumed_from_cache);
-        assert_eq!(out.particles.len(), 64);
+        assert_eq!(out.final_particles, 64);
     }
 
     #[test]
@@ -1057,14 +927,8 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (r1, r2, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
         let mut rng = StdRng::seed_from_u64(21);
-        let out = pre.process_object(&mut rng, &c, O, now, None).unwrap();
+        let out = run_object(&w, PreprocessorConfig::default(), &mut rng, &c, now, None).unwrap();
         let p1 = w.readers[r1.index()].position();
         let p2 = w.readers[r2.index()].position();
         // Probability mass closer to r2 than to r1:
@@ -1090,17 +954,21 @@ mod tests {
         for s in 1..=500 {
             c.ingest_second(s, &[]);
         }
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
+        let cache = ParticleCache::new();
         let mut rng = StdRng::seed_from_u64(22);
-        let out = pre.process_object(&mut rng, &c, O, 500, None).unwrap();
+        let out = run_object(
+            &w,
+            PreprocessorConfig::default(),
+            &mut rng,
+            &c,
+            500,
+            Some(&cache),
+        )
+        .unwrap();
         // td = 0, coast = 60 → at most 60 simulated seconds.
         assert!(out.seconds_simulated <= 60, "{}", out.seconds_simulated);
-        assert_eq!(out.timestamp, 60);
+        let (_, timestamp) = cache.lookup(O, (w.readers[0].id(), 0)).unwrap();
+        assert_eq!(timestamp, 60);
     }
 
     #[test]
@@ -1108,26 +976,17 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut cache = ParticleCache::new();
+        let cfg = PreprocessorConfig::default();
+        let cache = ParticleCache::new();
         let mut rng = StdRng::seed_from_u64(23);
-        let first = pre
-            .process_object(&mut rng, &c, O, now, Some(&mut cache))
-            .unwrap();
+        let first = run_object(&w, cfg, &mut rng, &c, now, Some(&cache)).unwrap();
         assert!(!first.resumed_from_cache);
         // Advance the world a little with no new readings.
         let later = now + 5;
         for s in now + 1..=later {
             c.ingest_second(s, &[]);
         }
-        let second = pre
-            .process_object(&mut rng, &c, O, later, Some(&mut cache))
-            .unwrap();
+        let second = run_object(&w, cfg, &mut rng, &c, later, Some(&cache)).unwrap();
         assert!(second.resumed_from_cache);
         assert!(
             second.seconds_simulated <= 5,
@@ -1142,28 +1001,20 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let mut cache = ParticleCache::new();
+        let cfg = PreprocessorConfig::default();
+        let cache = ParticleCache::new();
         let mut rng = StdRng::seed_from_u64(24);
-        pre.process_object(&mut rng, &c, O, now, Some(&mut cache))
-            .unwrap();
+        run_object(&w, cfg, &mut rng, &c, now, Some(&cache)).unwrap();
         // A brand-new reader episode starts.
         let other = w.readers[10].id();
         c.ingest_second(now + 1, &[(O, other)]);
-        let out = pre
-            .process_object(&mut rng, &c, O, now + 1, Some(&mut cache))
-            .unwrap();
+        let out = run_object(&w, cfg, &mut rng, &c, now + 1, Some(&cache)).unwrap();
         assert!(!out.resumed_from_cache, "new device must invalidate");
         assert_eq!(cache.stats().invalidations, 1);
     }
 
     #[test]
-    fn shared_cache_invalidated_when_new_device_detects_mid_resume() {
+    fn cache_invalidated_when_new_device_detects_mid_resume() {
         // The §4.5 contract under a device handoff that happens *between*
         // cache resumes: fill the cache, resume it once (hit), then let a
         // brand-new device detect the object — the next pass must discard
@@ -1171,7 +1022,7 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let recorder = ripq_obs::Recorder::enabled();
+        let recorder = Recorder::enabled();
         let pre = ParticlePreprocessor::new(
             &w.graph,
             &w.anchors,
@@ -1179,29 +1030,25 @@ mod tests {
             PreprocessorConfig::default(),
         )
         .with_recorder(&recorder);
-        let cache = SharedParticleCache::new();
+        let cache = ParticleCache::new();
+        let opts = SupervisionOptions::default();
+        let resumes = || recorder.snapshot().counters["pf.cache_resumes"];
 
-        let first = pre
-            .process_object_streamed(11, &c, O, now, Some(&cache))
-            .unwrap();
-        assert!(!first.resumed_from_cache);
+        pass(&pre, 11, &c, &[O], now, Some(&cache), None, &opts);
+        assert_eq!(resumes(), 0);
 
         // Mid-stream resume: silent seconds, same episode → cache hit.
         for s in now + 1..=now + 4 {
             c.ingest_second(s, &[]);
         }
-        let resumed = pre
-            .process_object_streamed(12, &c, O, now + 4, Some(&cache))
-            .unwrap();
-        assert!(resumed.resumed_from_cache);
+        pass(&pre, 12, &c, &[O], now + 4, Some(&cache), None, &opts);
+        assert_eq!(resumes(), 1);
 
         // A new device detects the object before the next resume.
         let other = w.readers[10].id();
         c.ingest_second(now + 5, &[(O, other)]);
-        let after = pre
-            .process_object_streamed(13, &c, O, now + 5, Some(&cache))
-            .unwrap();
-        assert!(!after.resumed_from_cache, "new device must invalidate");
+        pass(&pre, 13, &c, &[O], now + 5, Some(&cache), None, &opts);
+        assert_eq!(resumes(), 1, "new device must invalidate");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().invalidations, 1);
         // A handoff to a *different* device is not an outage reset.
@@ -1217,7 +1064,7 @@ mod tests {
         for s in 0..3u64 {
             c.ingest_second(s, &[(O, r)]);
         }
-        let recorder = ripq_obs::Recorder::enabled();
+        let recorder = Recorder::enabled();
         let pre = ParticlePreprocessor::new(
             &w.graph,
             &w.anchors,
@@ -1225,9 +1072,9 @@ mod tests {
             PreprocessorConfig::default(),
         )
         .with_recorder(&recorder);
-        let cache = SharedParticleCache::new();
-        pre.process_object_streamed(21, &c, O, 3, Some(&cache))
-            .unwrap();
+        let cache = ParticleCache::new();
+        let opts = SupervisionOptions::default();
+        pass(&pre, 21, &c, &[O], 3, Some(&cache), None, &opts);
 
         // Dark stream past the gap tolerance, then the *same* reader
         // re-detects: a new episode of the same device.
@@ -1235,11 +1082,13 @@ mod tests {
             c.ingest_second(s, &[]);
         }
         c.ingest_second(10, &[(O, r)]);
-        let out = pre
-            .process_object_streamed(22, &c, O, 10, Some(&cache))
-            .unwrap();
-        assert!(!out.resumed_from_cache, "episode split must invalidate");
+        pass(&pre, 22, &c, &[O], 10, Some(&cache), None, &opts);
         let counters = recorder.snapshot().counters;
+        assert_eq!(
+            counters.get("pf.cache_resumes"),
+            Some(&0),
+            "episode split must invalidate"
+        );
         assert_eq!(counters.get("pf.outage_resets"), Some(&1));
         assert_eq!(cache.stats().invalidations, 1);
     }
@@ -1248,19 +1097,26 @@ mod tests {
     fn unknown_object_yields_none() {
         let w = world();
         let c = DataCollector::new();
+        let mut rng = StdRng::seed_from_u64(25);
+        assert!(run_object(&w, PreprocessorConfig::default(), &mut rng, &c, 10, None).is_none());
         let pre = ParticlePreprocessor::new(
             &w.graph,
             &w.anchors,
             &w.readers,
             PreprocessorConfig::default(),
         );
-        let mut rng = StdRng::seed_from_u64(25);
-        assert!(pre
-            .process_object(&mut rng, &c, ObjectId::new(42), 10, None)
-            .is_none());
-        assert!(pre
-            .process_object_streamed(7, &c, ObjectId::new(42), 10, None)
-            .is_none());
+        let (index, levels) = pass(
+            &pre,
+            7,
+            &c,
+            &[ObjectId::new(42)],
+            10,
+            None,
+            None,
+            &SupervisionOptions::default(),
+        );
+        assert_eq!(index.object_count(), 0);
+        assert!(levels.is_empty());
     }
 
     #[test]
@@ -1277,7 +1133,16 @@ mod tests {
             PreprocessorConfig::default(),
         );
         let mut rng = StdRng::seed_from_u64(26);
-        let index = pre.process(&mut rng, &c, &[O, o2, ObjectId::new(99)], 5, None);
+        let (index, _) = pass(
+            &pre,
+            rng.random(),
+            &c,
+            &[O, o2, ObjectId::new(99)],
+            5,
+            None,
+            None,
+            &SupervisionOptions::default(),
+        );
         assert_eq!(index.object_count(), 2, "unknown candidate skipped");
         assert!((index.total_probability(&O) - 1.0).abs() < 1e-9);
         assert!((index.total_probability(&o2) - 1.0).abs() < 1e-9);
@@ -1291,14 +1156,8 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         c.ingest_second(0, &[(O, w.readers[3].id())]);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
         let mut rng = StdRng::seed_from_u64(27);
-        let out = pre.process_object(&mut rng, &c, O, 3, None).unwrap();
+        let out = run_object(&w, PreprocessorConfig::default(), &mut rng, &c, 3, None).unwrap();
         let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
         // Mass is spread around reader 3 within ~3 s of walking.
@@ -1323,13 +1182,12 @@ mod tests {
             adaptive: Some(crate::KldConfig::default()),
             ..Default::default()
         };
-        let pre = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, cfg);
         let mut rng = StdRng::seed_from_u64(30);
-        let out = pre.process_object(&mut rng, &c, O, 6, None).unwrap();
+        let out = run_object(&w, cfg, &mut rng, &c, 6, None).unwrap();
         assert!(
-            out.particles.len() < 64,
+            out.final_particles < 64,
             "confined cloud should shrink, kept {}",
-            out.particles.len()
+            out.final_particles
         );
         let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -1340,18 +1198,9 @@ mod tests {
         let w = world();
         let mut c = DataCollector::new();
         let (_, _, now) = feed_two_reader_walk(&w, &mut c);
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let out1 = pre
-            .process_object(&mut StdRng::seed_from_u64(42), &c, O, now, None)
-            .unwrap();
-        let out2 = pre
-            .process_object(&mut StdRng::seed_from_u64(42), &c, O, now, None)
-            .unwrap();
+        let cfg = PreprocessorConfig::default();
+        let out1 = run_object(&w, cfg, &mut StdRng::seed_from_u64(42), &c, now, None).unwrap();
+        let out2 = run_object(&w, cfg, &mut StdRng::seed_from_u64(42), &c, now, None).unwrap();
         assert_eq!(out1.distribution, out2.distribution);
     }
 
@@ -1366,7 +1215,24 @@ mod tests {
     }
 
     #[test]
-    fn streamed_result_is_independent_of_candidate_order() {
+    fn stream_seed_is_pinned_bit_for_bit() {
+        // Every golden particle cloud depends on these exact bits.
+        assert_eq!(
+            derive_stream_seed(0x5eed, ObjectId::new(7), 42),
+            0xe758_ee7b_275e_34f8
+        );
+        assert_eq!(
+            derive_stream_seed(0, ObjectId::new(0), 0),
+            0x8a9c_6b4b_5aad_ed14
+        );
+        assert_eq!(
+            derive_stream_seed(u64::MAX, ObjectId::new(u32::MAX), u64::MAX),
+            0xef4b_61b9_8cc4_aa2e
+        );
+    }
+
+    #[test]
+    fn result_is_independent_of_candidate_order() {
         let w = world();
         let mut c = DataCollector::new();
         let o2 = ObjectId::new(7);
@@ -1379,8 +1245,9 @@ mod tests {
             &w.readers,
             PreprocessorConfig::default(),
         );
-        let fwd = pre.process_streamed(99, &c, &[O, o2], 6, None, None);
-        let rev = pre.process_streamed(99, &c, &[o2, O], 6, None, None);
+        let opts = SupervisionOptions::default();
+        let (fwd, _) = pass(&pre, 99, &c, &[O, o2], 6, None, None, &opts);
+        let (rev, _) = pass(&pre, 99, &c, &[o2, O], 6, None, None, &opts);
         assert_eq!(fwd.distribution(&O), rev.distribution(&O));
         assert_eq!(fwd.distribution(&o2), rev.distribution(&o2));
     }
@@ -1403,36 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn supervised_default_matches_streamed_bit_for_bit() {
-        let w = world();
-        let c = populated_collector(&w, 10);
-        let objects: Vec<ObjectId> = (0..10u32).map(ObjectId::new).collect();
-        let pre = ParticlePreprocessor::new(
-            &w.graph,
-            &w.anchors,
-            &w.readers,
-            PreprocessorConfig::default(),
-        );
-        let a_cache = SharedParticleCache::new();
-        let a = pre.process_streamed(77, &c, &objects, 8, Some(&a_cache), Some(2));
-        let b_cache = SharedParticleCache::new();
-        let b = pre.process_supervised(
-            77,
-            &c,
-            &objects,
-            8,
-            Some(&b_cache),
-            Some(2),
-            &SupervisionOptions::default(),
-        );
-        for o in &objects {
-            assert_eq!(a.distribution(o), b.index.distribution(o));
-            assert_eq!(b.degradation.get(o), Some(&DegradationLevel::Full));
-        }
-        assert_eq!(a_cache.stats(), b_cache.stats());
-    }
-
-    #[test]
     fn incremental_index_pass_equals_fresh_rebuild() {
         let w = world();
         let c = populated_collector(&w, 5);
@@ -1447,29 +1284,24 @@ mod tests {
 
         // Pass 1 on an empty live index: everything is an insert.
         let mut live = AnchorObjectIndex::new();
-        let (_, s1) =
-            pre.process_supervised_into(31, &c, &objects, 8, None, None, &opts, &mut live);
+        let (_, s1) = pre.process(31, &c, &objects, 8, None, None, &opts, &mut live);
         assert_eq!(s1.applied, 5);
         assert_eq!(s1.retracted, 0);
-        let fresh1 = pre
-            .process_supervised(31, &c, &objects, 8, None, None, &opts)
-            .index;
+        let (fresh1, _) = pass(&pre, 31, &c, &objects, 8, None, None, &opts);
         assert_eq!(live, fresh1, "first pass equals a rebuild");
 
         // Pass 2 with a shrunk candidate set and a different seed: the two
         // dropped objects are retracted, the rest are updated in place —
         // and the maintained index still equals the fresh build.
         let keep = &objects[..3];
-        let (_, s2) = pre.process_supervised_into(32, &c, keep, 9, None, None, &opts, &mut live);
+        let (_, s2) = pre.process(32, &c, keep, 9, None, None, &opts, &mut live);
         assert_eq!(s2.retracted, 2);
         assert_eq!(s2.applied + s2.unchanged, 3);
-        let fresh2 = pre
-            .process_supervised(32, &c, keep, 9, None, None, &opts)
-            .index;
+        let (fresh2, _) = pass(&pre, 32, &c, keep, 9, None, None, &opts);
         assert_eq!(live, fresh2, "incremental pass equals a rebuild");
 
         // Replaying the identical pass is all no-ops.
-        let (_, s3) = pre.process_supervised_into(32, &c, keep, 9, None, None, &opts, &mut live);
+        let (_, s3) = pre.process(32, &c, keep, 9, None, None, &opts, &mut live);
         assert_eq!(s3.unchanged, 3);
         assert_eq!(s3.applied, 0);
         assert_eq!(s3.retracted, 0);
@@ -1490,7 +1322,8 @@ mod tests {
         )
         .with_recorder(&recorder);
         let victim = ObjectId::new(2);
-        let out = pre.process_supervised(
+        let (index, levels) = pass(
+            &pre,
             5,
             &c,
             &objects,
@@ -1505,8 +1338,8 @@ mod tests {
         );
         // One panic, one successful retry: the object still gets a full
         // answer and nobody else is affected.
-        assert_eq!(out.degradation.get(&victim), Some(&DegradationLevel::Full));
-        assert_eq!(out.index.object_count(), 4);
+        assert_eq!(levels.get(&victim), Some(&DegradationLevel::Full));
+        assert_eq!(index.object_count(), 4);
         let counters = recorder.snapshot().counters;
         assert_eq!(counters.get("degrade.pf_panics"), Some(&1));
         assert_eq!(counters.get("degrade.retries"), Some(&1));
@@ -1528,12 +1361,13 @@ mod tests {
         .with_recorder(&recorder);
         let victim = ObjectId::new(1);
         for workers in [1usize, 3] {
-            let out = pre.process_supervised(
+            let (index, levels) = pass(
+                &pre,
                 6,
                 &c,
                 &objects,
                 8,
-                Some(&SharedParticleCache::new()),
+                Some(&ParticleCache::new()),
                 Some(workers),
                 &SupervisionOptions {
                     panic_object: Some(victim),
@@ -1542,16 +1376,16 @@ mod tests {
                 },
             );
             assert_eq!(
-                out.degradation.get(&victim),
+                levels.get(&victim),
                 Some(&DegradationLevel::Quarantined),
                 "at {workers} workers"
             );
             // The quarantined answer is still a proper distribution...
-            let total: f64 = out.index.total_probability(&victim);
+            let total: f64 = index.total_probability(&victim);
             assert!((total - 1.0).abs() < 1e-9, "total {total}");
             // ...and the healthy objects got full answers.
             for o in objects.iter().filter(|&&o| o != victim) {
-                assert_eq!(out.degradation.get(o), Some(&DegradationLevel::Full));
+                assert_eq!(levels.get(o), Some(&DegradationLevel::Full));
             }
         }
         let counters = recorder.snapshot().counters;
@@ -1577,9 +1411,9 @@ mod tests {
             budget: Some(700),
             ..Default::default()
         };
-        let run = |workers| pre.process_supervised(9, &c, &objects, 8, None, Some(workers), &opts);
-        let out = run(1);
-        let levels: Vec<DegradationLevel> = objects.iter().map(|o| out.degradation[o]).collect();
+        let run = |workers| pass(&pre, 9, &c, &objects, 8, None, Some(workers), &opts);
+        let (index, by_object) = run(1);
+        let levels: Vec<DegradationLevel> = objects.iter().map(|o| by_object[o]).collect();
         assert_eq!(levels[0], DegradationLevel::Full);
         assert_eq!(levels[1], DegradationLevel::ReducedParticles);
         assert!(levels[2..]
@@ -1587,14 +1421,14 @@ mod tests {
             .all(|&l| l == DegradationLevel::UniformFallback));
         // Every answer is still a distribution.
         for o in &objects {
-            let total: f64 = out.index.total_probability(o);
+            let total: f64 = index.total_probability(o);
             assert!((total - 1.0).abs() < 1e-9);
         }
         // Same budget, more workers: identical ladder and answers.
-        let par = run(4);
+        let (par_index, par_levels) = run(4);
         for o in &objects {
-            assert_eq!(out.degradation.get(o), par.degradation.get(o));
-            assert_eq!(out.index.distribution(o), par.index.distribution(o));
+            assert_eq!(by_object.get(o), par_levels.get(o));
+            assert_eq!(index.distribution(o), par_index.distribution(o));
         }
         let counters = recorder.snapshot().counters;
         assert_eq!(counters.get("degrade.reduced"), Some(&2));
@@ -1627,7 +1461,8 @@ mod tests {
             &w.readers,
             PreprocessorConfig::default(),
         );
-        let out = pre.process_supervised(
+        let (index, levels) = pass(
+            &pre,
             3,
             &c,
             &[O],
@@ -1639,11 +1474,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(
-            out.degradation.get(&O),
-            Some(&DegradationLevel::UniformFallback)
-        );
-        let dist = out.index.distribution(&O).unwrap();
+        assert_eq!(levels.get(&O), Some(&DegradationLevel::UniformFallback));
+        let dist = index.distribution(&O).unwrap();
         let total: f64 = dist.iter().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-9);
         // now=4, t_last=2 → radius = 2.0 + (1.0+0.3)·2 = 4.6.
@@ -1672,12 +1504,21 @@ mod tests {
             &w.readers,
             PreprocessorConfig::default(),
         );
-        let seq_cache = SharedParticleCache::new();
-        let sequential = pre.process_streamed(1234, &c, &objects, 8, Some(&seq_cache), None);
+        let opts = SupervisionOptions::default();
+        let seq_cache = ParticleCache::new();
+        let (sequential, _) = pass(&pre, 1234, &c, &objects, 8, Some(&seq_cache), None, &opts);
         for workers in [1usize, 2, 4] {
-            let par_cache = SharedParticleCache::new();
-            let parallel =
-                pre.process_streamed(1234, &c, &objects, 8, Some(&par_cache), Some(workers));
+            let par_cache = ParticleCache::new();
+            let (parallel, _) = pass(
+                &pre,
+                1234,
+                &c,
+                &objects,
+                8,
+                Some(&par_cache),
+                Some(workers),
+                &opts,
+            );
             for o in &objects {
                 assert_eq!(
                     sequential.distribution(o),

@@ -1,10 +1,9 @@
 //! Particle state on the walking graph.
 
 use ripq_graph::{GraphPos, WalkingGraph};
-use serde::{Deserialize, Serialize};
 
 /// Travel direction along an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Heading {
     /// Moving toward the edge's `a` node (decreasing offset).
     TowardA,
@@ -26,7 +25,7 @@ impl Heading {
 /// One particle hypothesis: "each particle represents a hypothesis of the
 /// person's state with its own location, moving direction, and speed"
 /// (§3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndoorState {
     /// Position on the walking graph.
     pub pos: GraphPos,

@@ -15,10 +15,9 @@ use rand::Rng;
 use ripq_geom::Point2;
 use ripq_graph::{AnchorId, AnchorSet, WalkingGraph};
 use ripq_rfid::{HistoryCollector, ObjectId, Reader, ReadingStore};
-use serde::{Deserialize, Serialize};
 
 /// One reconstructed trajectory sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// The second this sample describes.
     pub second: u64,
@@ -34,7 +33,7 @@ pub struct TrajectoryPoint {
 }
 
 /// Configuration for trajectory reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryConfig {
     /// Particles used for the reconstruction (more than online tracking,
     /// since this is offline: default 256).

@@ -13,11 +13,10 @@
 use crate::{ObjectId, RawReading, ReaderId};
 use ripq_obs::{Counter, Recorder};
 use ripq_persist::{ByteReader, ByteWriter, PersistError};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Kind of a detection-range event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The object entered a reader's detection range.
     Enter,
@@ -26,7 +25,7 @@ pub enum EventKind {
 }
 
 /// An ENTER or LEAVE event for one object at one reader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RfidEvent {
     /// What happened.
     pub kind: EventKind,
@@ -41,7 +40,7 @@ pub struct RfidEvent {
 /// failure or maintenance window). During it, silence from that reader is
 /// expected — not evidence the object left its range. Windows of one
 /// reader are assumed disjoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OutageWindow {
     reader: ReaderId,
     from: u64,
@@ -70,7 +69,7 @@ fn downtime_between(outages: &[OutageWindow], reader: ReaderId, after: u64, befo
 }
 
 /// One maximal run of consecutive per-second detections by a single reader.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Episode {
     reader: ReaderId,
     first_second: u64,
@@ -78,7 +77,7 @@ struct Episode {
 }
 
 /// Per-object collector state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ObjectState {
     /// Second of `entries[0]`.
     start_second: u64,
@@ -147,10 +146,9 @@ struct CollectorMetrics {
 }
 
 /// The event-driven raw data collector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCollector {
     objects: HashMap<ObjectId, ObjectState>,
-    #[serde(skip)]
     metrics: CollectorMetrics,
     current_second: Option<u64>,
     /// Re-detections by the same reader within this many seconds continue

@@ -4,10 +4,9 @@ use crate::{Reader, ReaderId};
 use rand::{RngExt, SeedableRng};
 use ripq_floorplan::FloorPlan;
 use ripq_graph::WalkingGraph;
-use serde::{Deserialize, Serialize};
 
 /// How to place readers on the hallway network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeploymentStrategy {
     /// Uniform spacing along the concatenated centerlines (the paper's
     /// setup, §5).

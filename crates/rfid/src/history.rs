@@ -12,18 +12,17 @@
 //! answers "where was everyone at 10:42?" queries.
 
 use crate::{AggregatedReadings, ObjectId, ReaderId, ReadingStore};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One full detection episode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Episode {
     reader: ReaderId,
     first_second: u64,
     last_second: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ObjectHistory {
     start_second: u64,
     entries: Vec<Option<ReaderId>>,
@@ -31,7 +30,7 @@ struct ObjectHistory {
 }
 
 /// A data collector that never discards history.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HistoryCollector {
     objects: HashMap<ObjectId, ObjectHistory>,
     current_second: Option<u64>,

@@ -1,12 +1,11 @@
 //! Identity of tracked objects (RFID-tagged people).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a tracked object — one RFID tag, carried by one person.
 ///
 /// The paper writes `oᵢ` for "the object with ID i" (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(u32);
 
 impl ObjectId {

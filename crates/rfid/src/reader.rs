@@ -2,11 +2,10 @@
 
 use ripq_geom::Point2;
 use ripq_graph::GraphPos;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an RFID reader (`dᵢ` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReaderId(u32);
 
 impl ReaderId {
@@ -41,7 +40,7 @@ impl fmt::Display for ReaderId {
 /// (Euclidean). The paper assumes the range covers the hallway width, so a
 /// reader partitions its hallway into "before" and "after" sections (§3.2,
 /// Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reader {
     id: ReaderId,
     position: Point2,

@@ -1,12 +1,11 @@
 //! Raw RFID readings.
 
 use crate::{ObjectId, ReaderId};
-use serde::{Deserialize, Serialize};
 
 /// One raw sample: reader `reader` saw tag `object` at time `time`
 /// (seconds since simulation start; fractional — readers sample tens of
 /// times per second, §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawReading {
     /// Detection time in seconds (fractional).
     pub time: f64,

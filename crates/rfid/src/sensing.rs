@@ -3,7 +3,6 @@
 use crate::{ObjectId, RawReading, Reader, ReaderId};
 use rand::Rng;
 use ripq_geom::Point2;
-use serde::{Deserialize, Serialize};
 
 /// Stochastic sensing model for RFID readers.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// `detection_probability`, modeling the false negatives caused by "RF
 /// interference, limited detection range, tag orientation, and other
 /// environmental phenomena" (§1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensingModel {
     /// Samples each reader takes per second (paper: "tens").
     pub samples_per_second: u32,

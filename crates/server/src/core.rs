@@ -628,9 +628,10 @@ impl ServerCore {
             }
         }
         // Silence detection: one alert per silent episode, re-armed by
-        // any re-detection. Collector iteration is id-ordered, so event
-        // order is stable.
-        let silent: Vec<(ObjectId, u64)> = self
+        // any re-detection. Collector iteration order is a hash order that
+        // differs between processes, so sort by id to keep event order
+        // stable.
+        let mut silent: Vec<(ObjectId, u64)> = self
             .system
             .collector()
             .objects()
@@ -641,6 +642,7 @@ impl ServerCore {
                     .map(|(_, last)| (o, last))
             })
             .collect();
+        silent.sort_unstable_by_key(|&(o, _)| o);
         for (object, last_seen) in silent {
             if second.saturating_sub(last_seen) > self.config.unseen_after {
                 if self.unseen_alerted.insert(object) {
@@ -792,6 +794,28 @@ mod tests {
             !again.iter().any(|l| l.contains("object_unseen")),
             "one alert per silent episode: {again:?}"
         );
+    }
+
+    #[test]
+    fn simultaneous_unseen_alerts_come_out_in_id_order() {
+        let mut core = core();
+        let reader = core.system().readers()[2].id().raw();
+        let readings: Vec<String> = (0..64u32)
+            .rev()
+            .map(|o| format!("[{o},{reader}]"))
+            .collect();
+        let frame = format!(
+            "{{\"op\":\"reading\",\"second\":0,\"readings\":[{}]}}",
+            readings.join(",")
+        );
+        one(&mut core, &frame);
+        let lines = one(&mut core, "{\"op\":\"tick\",\"second\":70}");
+        let unseen: Vec<u32> = lines
+            .iter()
+            .filter_map(|l| l.strip_prefix("{\"event\":\"object_unseen\",\"object\":"))
+            .map(|rest| rest.split(',').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(unseen, (0..64).collect::<Vec<u32>>());
     }
 
     #[test]

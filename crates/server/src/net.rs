@@ -274,13 +274,22 @@ fn connect(endpoint: &Endpoint) -> Result<Stream, RipqError> {
 }
 
 /// `true` when `line` concludes a request's response (acks, busy and
-/// error lines; delta/event lines always precede their tick ack).
+/// error lines, metrics and dead-letter listings; delta/event lines
+/// always precede their tick ack). Whitespace after the opening brace is
+/// skipped, since the metrics snapshot is pretty-printed.
 fn is_terminal_line(line: &str) -> bool {
-    line.starts_with("{\"ok\":")
-        || line.starts_with("{\"busy\":")
-        || line.starts_with("{\"error\":")
-        || line.starts_with("{\"counters\"")
-        || line.starts_with("{\"dead_letters\"")
+    let Some(body) = line.strip_prefix('{').map(str::trim_start) else {
+        return false;
+    };
+    [
+        "\"ok\":",
+        "\"busy\":",
+        "\"error\":",
+        "\"counters\"",
+        "\"dead_letters\"",
+    ]
+    .iter()
+    .any(|key| body.starts_with(key))
 }
 
 /// A request/response client over one connection: each frame is sent
@@ -420,6 +429,14 @@ mod tests {
             b"{\"op\":\"tick\",\"second\":1}".to_vec(),
             b"{\"op\":\"shutdown\"}".to_vec(),
         ]
+    }
+
+    #[test]
+    fn metrics_snapshot_ends_a_response() {
+        let plan = office_building(&OfficeParams::default()).unwrap();
+        let core = ServerCore::new(plan, ServerConfig::default());
+        assert!(is_terminal_line(&core.metrics_json()));
+        assert!(!is_terminal_line("{\"delta\":{\"sub\":1}}"));
     }
 
     fn run_over(endpoint: Endpoint) -> Vec<String> {

@@ -24,7 +24,7 @@
 //! reproducible from the seed.
 
 use crate::core::ServerCore;
-use rand::split_mix64;
+use rand::mix_seed;
 
 /// Client-side retry knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +94,11 @@ pub fn busy_hint(line: &str) -> Option<u64> {
 /// inside the window. Deterministic in `(seed, round)`.
 pub fn client_backoff_ticks(seed: u64, round: u32) -> u64 {
     let window = 1u64 << u64::from(round.saturating_sub(1).min(6));
-    let mut state = seed ^ u64::from(round).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    window + split_mix64(&mut state) % window
+    let draw = mix_seed(
+        seed ^ u64::from(round).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        &[],
+    );
+    window + draw % window
 }
 
 /// Replays `frames` against `core` with shed-aware retry: the
@@ -193,5 +196,11 @@ mod tests {
         let seq =
             |seed: u64| -> Vec<u64> { (1..=12).map(|r| client_backoff_ticks(seed, r)).collect() };
         assert_ne!(seq(1), seq(2), "seed must matter somewhere in the schedule");
+    }
+
+    #[test]
+    fn backoff_schedule_is_pinned() {
+        let seq: Vec<u64> = (1..=12).map(|r| client_backoff_ticks(0x5EED, r)).collect();
+        assert_eq!(seq, [1, 3, 5, 10, 16, 50, 115, 119, 118, 96, 104, 117]);
     }
 }

@@ -22,7 +22,7 @@
 //! counts.
 
 use crate::executor::{Executor, ServerEvent};
-use rand::split_mix64;
+use rand::mix_seed;
 use ripq_core::Recorder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -102,17 +102,17 @@ fn event_ident(event: &ServerEvent) -> u64 {
             sub,
             object,
             second,
-        } => chain(&[1, *sub, u64::from(object.raw()), *second]),
+        } => chain(1, &[*sub, u64::from(object.raw()), *second]),
         ServerEvent::GeofenceLeft {
             sub,
             object,
             second,
-        } => chain(&[2, *sub, u64::from(object.raw()), *second]),
+        } => chain(2, &[*sub, u64::from(object.raw()), *second]),
         ServerEvent::ObjectUnseen {
             object,
             second,
             last_seen,
-        } => chain(&[3, u64::from(object.raw()), *second, *last_seen]),
+        } => chain(3, &[u64::from(object.raw()), *second, *last_seen]),
     }
 }
 
@@ -126,17 +126,10 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
-/// Successive SplitMix64 outputs folded over the inputs — the workspace
-/// seed-derivation idiom (`ripq_pf::derive_stream_seed`,
-/// `ripq_sim::faults`).
-fn chain(parts: &[u64]) -> u64 {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut out = 0u64;
-    for p in parts {
-        state ^= *p;
-        out ^= split_mix64(&mut state);
-    }
-    out
+/// The supervisor's seed chain: [`mix_seed`] started from a fixed salt
+/// folded with `first`.
+fn chain(first: u64, rest: &[u64]) -> u64 {
+    mix_seed(0x9e37_79b9_7f4a_7c15 ^ first, rest)
 }
 
 /// The deterministic jittered backoff (in logical ticks) before retry
@@ -146,12 +139,10 @@ fn chain(parts: &[u64]) -> u64 {
 /// so overload behavior is observable and reproducible.
 pub fn backoff_ticks(seed: u64, name: &str, event: &ServerEvent, attempt: u32) -> u64 {
     let window = 1u64 << u64::from(attempt.saturating_sub(1).min(6));
-    let draw = chain(&[
+    let draw = chain(
         seed,
-        name_hash(name),
-        event_ident(event),
-        u64::from(attempt),
-    ]);
+        &[name_hash(name), event_ident(event), u64::from(attempt)],
+    );
     window + draw % window
 }
 
@@ -312,6 +303,13 @@ mod tests {
 
     fn quiet_recorder() -> Recorder {
         Recorder::from_flag(true)
+    }
+
+    #[test]
+    fn seed_chain_is_pinned_bit_for_bit() {
+        // Every recorded backoff schedule depends on these exact bits.
+        assert_eq!(chain(0x5eed, &[11, 22, 33]), 0x12f5_3ead_9233_72dc);
+        assert_eq!(chain(1, &[3, 7, 11]), 0xcda1_ecbf_adac_c6e2);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use ripq_persist::{
     crc32, load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter,
     PersistError,
 };
-use ripq_pf::SharedParticleCache;
+use ripq_pf::ParticleCache;
 use ripq_rfid::{DataCollector, DeploymentStrategy, ObjectId, ReaderId};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -52,7 +52,7 @@ pub(crate) struct SimCheckpoint {
     /// Index into the evaluation-timestamp list.
     pub next_ts: u64,
     pub collector: DataCollector,
-    pub cache: SharedParticleCache,
+    pub cache: ParticleCache,
     pub rng_sense: [u64; 4],
     pub rng_pf: [u64; 4],
     pub rng_query: [u64; 4],
@@ -70,7 +70,7 @@ pub(crate) struct CheckpointView<'a> {
     pub next_second: u64,
     pub next_ts: u64,
     pub collector: &'a DataCollector,
-    pub cache: &'a SharedParticleCache,
+    pub cache: &'a ParticleCache,
     pub rng_sense: [u64; 4],
     pub rng_pf: [u64; 4],
     pub rng_query: [u64; 4],
@@ -180,7 +180,7 @@ fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, Pe
     let next_second = r.get_u64()?;
     let next_ts = r.get_u64()?;
     let collector = DataCollector::decode_state(&mut r)?;
-    let cache = SharedParticleCache::decode_state(&mut r)?;
+    let cache = ParticleCache::decode_state(&mut r)?;
     let mut words = [0u64; 12];
     for word in &mut words {
         *word = r.get_u64()?;
@@ -282,7 +282,7 @@ mod tests {
 
     fn view_fixture<'a>(
         collector: &'a DataCollector,
-        cache: &'a SharedParticleCache,
+        cache: &'a ParticleCache,
         pending: &'a BTreeMap<u64, Vec<TaggedReading>>,
         metrics: &'a MetricsSnapshot,
     ) -> CheckpointView<'a> {
@@ -312,7 +312,7 @@ mod tests {
 
     fn fixture_state() -> (
         DataCollector,
-        SharedParticleCache,
+        ParticleCache,
         BTreeMap<u64, Vec<TaggedReading>>,
         MetricsSnapshot,
     ) {
@@ -324,7 +324,7 @@ mod tests {
                 (ObjectId::new(3), ReaderId::new(0)),
             ],
         );
-        let cache = SharedParticleCache::new();
+        let cache = ParticleCache::new();
         let mut pending = BTreeMap::new();
         pending.insert(
             7,

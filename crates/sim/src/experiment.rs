@@ -19,16 +19,16 @@ use ripq_core::{
     KnnQuery, QueryId, RecoveryOutcome,
 };
 use ripq_geom::{Point2, Rect};
+use ripq_graph::AnchorObjectIndex;
 use ripq_obs::{MetricsSnapshot, Recorder};
 use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq_rfid::{DataCollector, ObjectId};
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// Averaged accuracy results of one experiment — one point on each curve
 /// of Figures 9–13.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccuracyReport {
     /// Range-query KL divergence, particle-filter method.
     pub range_kl_pf: f64,
@@ -339,7 +339,7 @@ impl Experiment {
             if let Some(ck) = restored {
                 collector = ck.collector;
                 collector.set_recorder(recorder);
-                cache = ParticleCache::from_shared(ck.cache);
+                cache = ck.cache;
                 rng_sense = StdRng::from_state(ck.rng_sense);
                 rng_pf = StdRng::from_state(ck.rng_pf);
                 rng_query = StdRng::from_state(ck.rng_query);
@@ -384,7 +384,7 @@ impl Experiment {
                         next_second: second,
                         next_ts: next_ts as u64,
                         collector: &collector,
-                        cache: cache.shared(),
+                        cache: &cache,
                         rng_sense: rng_sense.state(),
                         rng_pf: rng_pf.state(),
                         rng_query: rng_query.state(),
@@ -436,23 +436,22 @@ impl Experiment {
                 let pass_seed: u64 = rng_pf.random();
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
                 let t_pf = obs_on.then(Instant::now);
-                // The supervised path adds panic isolation and the
-                // deadline-budget degradation ladder; with the default
-                // budget (`None`) it is the exact streamed pass.
-                let supervised = preprocessor.process_supervised(
+                // Each timestamp builds its index from scratch.
+                let mut pf_index = AnchorObjectIndex::new();
+                let (degradation, _) = preprocessor.process(
                     pass_seed,
                     &collector,
                     &objects,
                     now,
-                    Some(cache.shared()),
+                    Some(&cache),
                     p.parallelism,
                     &supervision,
+                    &mut pf_index,
                 );
                 // Lazily counted so fault-free goldens never see the name.
-                if !supervised.degradation.is_empty() {
-                    recorder.add("sim.objects_degraded", supervised.degradation.len() as u64);
+                if !degradation.is_empty() {
+                    recorder.add("sim.objects_degraded", degradation.len() as u64);
                 }
-                let pf_index = supervised.index;
                 if let Some(t) = t_pf {
                     recorder.record_span("run/pf_index", t.elapsed());
                 }

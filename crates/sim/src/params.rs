@@ -3,7 +3,6 @@
 use crate::FaultPlan;
 use ripq_graph::DistanceBackend;
 use ripq_rfid::{DeploymentStrategy, SensingModel};
-use serde::{Deserialize, Serialize};
 
 /// All knobs of one simulated experiment.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// parameters"): 64 particles, 2 % query window, 200 moving objects,
 /// k = 3, 2 m activation range — in the 30-room / 4-hallway single floor
 /// with 19 uniformly deployed readers of §5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentParams {
     /// Number of particles per object (Table 2: 64).
     pub num_particles: usize,

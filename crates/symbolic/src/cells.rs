@@ -9,12 +9,11 @@
 
 use ripq_graph::{AnchorId, AnchorSet, WalkingGraph};
 use ripq_rfid::{Reader, ReaderId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a cell in the deployment decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(u32);
 
 impl CellId {
@@ -44,7 +43,7 @@ impl fmt::Display for CellId {
 }
 
 /// Where an anchor falls in the decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnchorRegion {
     /// Inside the activation disk of the given reader (ties broken by the
     /// closest reader).

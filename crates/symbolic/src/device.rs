@@ -2,11 +2,10 @@
 
 use crate::CellDecomposition;
 use ripq_rfid::ReaderId;
-use serde::{Deserialize, Serialize};
 
 /// The three positioning-device classes defined by Yang et al. and quoted
 /// in §3.3 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceKind {
     /// "It simply senses objects within its detection range, but does not
     /// partition the space into different cells" — one adjacent cell.

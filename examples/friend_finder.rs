@@ -12,9 +12,10 @@
 //! walking distance.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::{evaluate_knn, KnnQuery, QueryId};
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::DataCollector;
 use ripq::sim::metrics;
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
@@ -53,7 +54,7 @@ fn main() {
         PreprocessorConfig::default(),
     );
     let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    let cache = ParticleCache::new();
 
     let mut pf_hits = metrics::Mean::default();
     let mut sm_hits = metrics::Mean::default();
@@ -64,8 +65,17 @@ fn main() {
             continue;
         }
 
-        let pf_index =
-            preprocessor.process(&mut rng_pf, &collector, &objects, second, Some(&mut cache));
+        let mut pf_index = AnchorObjectIndex::new();
+        preprocessor.process(
+            rng_pf.random::<u64>(),
+            &collector,
+            &objects,
+            second,
+            Some(&cache),
+            None,
+            &SupervisionOptions::default(),
+            &mut pf_index,
+        );
         let sm_index = world.symbolic.build_index(&collector, &objects, second);
 
         let truth = ground_truth.knn(me, params.k, second);

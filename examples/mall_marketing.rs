@@ -11,10 +11,11 @@
 //! walking together (candidates for a "bring a friend" coupon).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::{evaluate_closest_pairs, evaluate_ptknn, ClosestPairsQuery, PtknnQuery};
 use ripq::floorplan::{shopping_mall, MallParams};
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::DataCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -53,7 +54,7 @@ fn main() {
         PreprocessorConfig::default(),
     );
     let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    let cache = ParticleCache::new();
 
     // The kiosk sits mid-promenade.
     let kiosk = world.plan.hallways()[0].footprint().center();
@@ -70,8 +71,17 @@ fn main() {
             continue;
         }
         let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-        let index =
-            preprocessor.process(&mut rng_pf, &collector, &objects, second, Some(&mut cache));
+        let mut index = AnchorObjectIndex::new();
+        preprocessor.process(
+            rng_pf.random::<u64>(),
+            &collector,
+            &objects,
+            second,
+            Some(&cache),
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
 
         let nearby = evaluate_ptknn(
             &mut rng_pf,

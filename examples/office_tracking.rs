@@ -11,10 +11,11 @@
 //! the §6 "continuous range" extension in action.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::continuous::ContinuousRangeQuery;
 use ripq::core::{QueryId, RangeQuery};
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::DataCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -57,7 +58,7 @@ fn main() {
         PreprocessorConfig::default(),
     );
     let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    let cache = ParticleCache::new();
 
     // Stream the day; refresh the monitor every 20 simulated seconds.
     let mut events = 0u32;
@@ -67,8 +68,17 @@ fn main() {
         if second % 20 != 0 || second < 40 {
             continue;
         }
-        let index =
-            preprocessor.process(&mut rng_pf, &collector, &objects, second, Some(&mut cache));
+        let mut index = AnchorObjectIndex::new();
+        preprocessor.process(
+            rng_pf.random::<u64>(),
+            &collector,
+            &objects,
+            second,
+            Some(&cache),
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
         let delta = monitor.update(&world.plan, &world.anchors, &index);
         for (o, p) in &delta.appeared {
             println!("t={second:>3}s  {o} likely entered the room (p = {p:.2})");

@@ -11,9 +11,10 @@
 //! longer-reading-history extension.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::{evaluate_closest_pairs, evaluate_range, ClosestPairsQuery};
-use ripq::pf::{ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::{HistoryCollector, ReadingStore};
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -66,7 +67,17 @@ fn main() {
         let view = log.view_at(t);
         let objects = view.object_ids();
         let mut rng = StdRng::seed_from_u64(63 ^ t);
-        let index = preprocessor.process(&mut rng, &view, &objects, t, None);
+        let mut index = AnchorObjectIndex::new();
+        preprocessor.process(
+            rng.random::<u64>(),
+            &view,
+            &objects,
+            t,
+            None,
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
 
         // Who was (probably) in or near the server room at time t?
         let window = server_room.footprint().inflate(3.0);

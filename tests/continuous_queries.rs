@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::continuous::{
     ContinuousKnnQuery, ContinuousRangeQuery, SubscriptionKind, SubscriptionRegistry,
 };
@@ -14,7 +14,8 @@ use ripq::core::{
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::geom::Rect;
 use ripq::graph::build_walking_graph;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::DataCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 use std::collections::BTreeMap;
@@ -37,7 +38,7 @@ fn continuous_results_match_fresh_evaluation() {
         PreprocessorConfig::default(),
     );
     let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    let cache = ParticleCache::new();
 
     let room = &w.plan.rooms()[8];
     let range_query = RangeQuery::new(QueryId::new(0), *room.footprint()).unwrap();
@@ -57,7 +58,17 @@ fn continuous_results_match_fresh_evaluation() {
         if s < 40 || s % 25 != 0 {
             continue;
         }
-        let index = pre.process(&mut rng_pf, &collector, &objects, s, Some(&mut cache));
+        let mut index = AnchorObjectIndex::new();
+        pre.process(
+            rng_pf.random::<u64>(),
+            &collector,
+            &objects,
+            s,
+            Some(&cache),
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
 
         let d1 = c_range.update(&w.plan, &w.anchors, &index);
         let d2 = c_knn.update(&w.graph, &w.anchors, &index);

@@ -2,12 +2,13 @@
 //! filter → query evaluation, asserting the paper's qualitative results.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::{
     evaluate_knn, evaluate_range, IndoorQuerySystem, KnnQuery, QueryId, SystemConfig,
 };
 use ripq::geom::Rect;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::{DataCollector, ObjectId};
 use ripq::sim::{
     metrics, Experiment, ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator,
@@ -68,7 +69,17 @@ fn range_probabilities_are_calibrated() {
         &w.readers,
         PreprocessorConfig::default(),
     );
-    let index = pre.process(&mut rng_pf, &collector, &objects, 150, None);
+    let mut index = AnchorObjectIndex::new();
+    pre.process(
+        rng_pf.random::<u64>(),
+        &collector,
+        &objects,
+        150,
+        None,
+        None,
+        &SupervisionOptions::default(),
+        &mut index,
+    );
 
     let whole = evaluate_range(&w.plan, &w.anchors, &index, &w.plan.bounds());
     for (o, p) in whole.iter() {
@@ -115,7 +126,17 @@ fn knn_total_probability_reaches_k() {
         &w.readers,
         PreprocessorConfig::default(),
     );
-    let index = pre.process(&mut rng_pf, &collector, &objects, 120, None);
+    let mut index = AnchorObjectIndex::new();
+    pre.process(
+        rng_pf.random::<u64>(),
+        &collector,
+        &objects,
+        120,
+        None,
+        None,
+        &SupervisionOptions::default(),
+        &mut index,
+    );
     let processed = index.object_count();
     assert!(processed >= 5, "need a populated index, got {processed}");
 
@@ -155,7 +176,7 @@ fn knn_matches_truth_on_fresh_readings() {
     let gt = GroundTruth::new(&w.graph, &traces);
     let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
     let mut collector = DataCollector::new();
-    let mut cache = ParticleCache::new();
+    let cache = ParticleCache::new();
     let pre = ParticlePreprocessor::new(
         &w.graph,
         &w.anchors,
@@ -169,7 +190,17 @@ fn knn_matches_truth_on_fresh_readings() {
         if s < 60 || s % 30 != 0 {
             continue;
         }
-        let index = pre.process(&mut rng_pf, &collector, &objects, s, Some(&mut cache));
+        let mut index = AnchorObjectIndex::new();
+        pre.process(
+            rng_pf.random::<u64>(),
+            &collector,
+            &objects,
+            s,
+            Some(&cache),
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
         let q_point = w.plan.hallways()[1].footprint().center();
         let truth = gt.knn(q_point, 3, s);
         let q = KnnQuery::new(QueryId::new(0), q_point, 3).unwrap();

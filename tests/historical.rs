@@ -2,9 +2,10 @@
 //! extension, driven through the full particle-filter pipeline.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use ripq::core::{evaluate_range, KnnQuery, QueryId};
-use ripq::pf::{ParticlePreprocessor, PreprocessorConfig};
+use ripq::graph::AnchorObjectIndex;
+use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::{HistoryCollector, ReadingStore};
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -35,7 +36,17 @@ fn historical_inference_reflects_only_past_readings() {
     let objects = view.object_ids();
     assert!(!objects.is_empty());
     let mut rng_pf = StdRng::seed_from_u64(33);
-    let index = pre.process(&mut rng_pf, &view, &objects, t, None);
+    let mut index = AnchorObjectIndex::new();
+    pre.process(
+        rng_pf.random::<u64>(),
+        &view,
+        &objects,
+        t,
+        None,
+        None,
+        &SupervisionOptions::default(),
+        &mut index,
+    );
 
     // Mass must be consistent with the *then-current* positions: for each
     // processed object, some probability within plausible reach of the
@@ -121,7 +132,17 @@ fn historical_range_and_knn_queries_run() {
         let view = history.view_at(t);
         let objects = view.object_ids();
         let mut rng = StdRng::seed_from_u64(53 + t);
-        let index = pre.process(&mut rng, &view, &objects, t, None);
+        let mut index = AnchorObjectIndex::new();
+        pre.process(
+            rng.random::<u64>(),
+            &view,
+            &objects,
+            t,
+            None,
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
         // Historical range query over the whole building finds everyone.
         let rs = evaluate_range(&w.plan, &w.anchors, &index, &w.plan.bounds());
         assert_eq!(rs.len(), index.object_count());

@@ -6,7 +6,7 @@ use ripq::core::{evaluate_knn, evaluate_range, KnnQuery, QueryId};
 use ripq::floorplan::FloorPlanBuilder;
 use ripq::geom::{Point2, Rect};
 use ripq::graph::{build_walking_graph, AnchorObjectIndex, AnchorSet, GraphPos};
-use ripq::pf::{ParticlePreprocessor, PreprocessorConfig};
+use ripq::pf::{ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
 use ripq::rfid::{
     deploy_uniform, DataCollector, HistoryCollector, ObjectId, ReaderId, ReadingStore,
 };
@@ -163,7 +163,7 @@ proptest! {
         pattern in proptest::collection::vec(proptest::option::of(0u32..19), 5..50),
         seed in 0u64..500,
     ) {
-        use rand::SeedableRng;
+        use rand::{RngExt, SeedableRng};
         let plan = ripq::floorplan::office_building(&Default::default()).unwrap();
         let graph = build_walking_graph(&plan);
         let anchors = AnchorSet::generate(&graph, &plan, 1.0);
@@ -190,15 +190,24 @@ proptest! {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let now = pattern.len() as u64;
-        let out = pre
-            .process_object(&mut rng, &collector, o, now, None)
-            .expect("object was detected");
-        let total: f64 = out.distribution.iter().map(|(_, p)| p).sum();
+        let mut index = AnchorObjectIndex::new();
+        pre.process(
+            rng.random::<u64>(),
+            &collector,
+            &[o],
+            now,
+            None,
+            None,
+            &SupervisionOptions::default(),
+            &mut index,
+        );
+        let distribution = index.distribution(&o).expect("object was detected");
+        let total: f64 = distribution.iter().map(|(_, p)| p).sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "mass {total}");
-        for w in out.distribution.windows(2) {
+        for w in distribution.windows(2) {
             prop_assert!(w[0].0 < w[1].0, "sorted unique anchors");
         }
-        prop_assert!(out.distribution.iter().all(|&(_, p)| p > 0.0));
+        prop_assert!(distribution.iter().all(|&(_, p)| p > 0.0));
     }
 
     /// Whatever the detection pattern and worker count, every per-object
@@ -237,13 +246,16 @@ proptest! {
         );
         let candidates: Vec<ObjectId> = (0..4).map(ObjectId::new).collect();
         let now = detections.len() as u64;
-        let index = pre.process_streamed(
+        let mut index = AnchorObjectIndex::new();
+        pre.process(
             pass_seed,
             &collector,
             &candidates,
             now,
             None,
             Some(workers),
+            &SupervisionOptions::default(),
+            &mut index,
         );
         for o in index.objects() {
             let total = index.total_probability(o);
@@ -267,7 +279,6 @@ proptest! {
         ),
         passes in proptest::collection::vec((0u64..1000, 1u32..32), 1..4),
     ) {
-        use ripq::pf::SupervisionOptions;
         let plan = ripq::floorplan::office_building(&Default::default()).unwrap();
         let graph = build_walking_graph(&plan);
         let anchors = AnchorSet::generate(&graph, &plan, 1.0);
@@ -301,14 +312,15 @@ proptest! {
                 .map(ObjectId::new)
                 .collect();
             let now = detections.len() as u64 + i as u64;
-            let (_, stats) = pre.process_supervised_into(
+            let (_, stats) = pre.process(
                 seed, &collector, &candidates, now, None, None, &options, &mut live,
             );
-            let fresh = pre.process_supervised(
-                seed, &collector, &candidates, now, None, None, &options,
+            let mut fresh = AnchorObjectIndex::new();
+            pre.process(
+                seed, &collector, &candidates, now, None, None, &options, &mut fresh,
             );
             prop_assert_eq!(
-                &live, &fresh.index,
+                &live, &fresh,
                 "pass {} (seed {}, mask {:#b}): delta-maintained index \
                  diverged from rebuild", i, seed, mask
             );
@@ -318,7 +330,7 @@ proptest! {
             );
             // Replaying the identical pass is a pure no-op.
             let mut replay = live.clone();
-            let (_, stats2) = pre.process_supervised_into(
+            let (_, stats2) = pre.process(
                 seed, &collector, &candidates, now, None, None, &options, &mut replay,
             );
             prop_assert_eq!(&replay, &live, "replay must not move the index");
