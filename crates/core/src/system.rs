@@ -23,7 +23,7 @@ use ripq_persist::{
 };
 use ripq_pf::{
     CacheStats, DegradationLevel, ParticleCache, ParticlePreprocessor, PreprocessorConfig,
-    SupervisionOptions,
+    SensorGeometry, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
 use std::collections::BTreeMap;
@@ -199,6 +199,11 @@ pub struct IndoorQuerySystem {
     /// under [`DistanceBackend::Alt`] (or restored from `oracle.ckpt` by
     /// recovery) and shared read-only across the pass.
     oracle: Option<Arc<DistanceOracle>>,
+    /// Reader reach and seeding spans of `graph` and `readers`, built on
+    /// the first evaluation (not in [`IndoorQuerySystem::new`], which
+    /// pipelines that never evaluate should not pay for) and kept for the
+    /// system's lifetime: every pass's preprocessor borrows it.
+    sensor_geometry: Option<SensorGeometry>,
     /// The *incrementally maintained* `APtoObjHT`: each evaluation pass
     /// retracts objects that left the answered candidate set and applies
     /// fresh distributions as deltas, instead of rebuilding from scratch.
@@ -256,6 +261,7 @@ impl IndoorQuerySystem {
             rng: StdRng::seed_from_u64(seed),
             sp_cache: ShortestPathCache::new(),
             oracle: None,
+            sensor_geometry: None,
             live_index: AnchorObjectIndex::new(),
             range_queries: BTreeMap::new(),
             knn_queries: BTreeMap::new(),
@@ -578,10 +584,14 @@ impl IndoorQuerySystem {
         // `config.parallelism` says.
         let t_pre = clock.now();
         let pass_seed: u64 = self.rng.random();
-        let preprocessor = ParticlePreprocessor::new(
+        let geometry = self
+            .sensor_geometry
+            .get_or_insert_with(|| SensorGeometry::new(&self.graph, &self.readers));
+        let preprocessor = ParticlePreprocessor::with_geometry(
             &self.graph,
             &self.anchors,
             &self.readers,
+            geometry,
             self.config.preprocess,
         )
         .with_recorder(&self.recorder);

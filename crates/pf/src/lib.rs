@@ -15,6 +15,9 @@
 //!   readings through the filter, coast at most 60 s beyond the last
 //!   reading, then snap the cloud onto anchor points to fill the
 //!   `APtoObjHT` index.
+//! * [`SensorGeometry`] — the static sensor geometry the filter consults
+//!   every particle-second (which readers can reach each edge, where each
+//!   reader seeds particles), built once per world.
 //! * [`ParticleCache`] — the cache management module (§4.5): store particle
 //!   states per object and resume filtering from the cached timestamp;
 //!   entries are invalidated as soon as a new device detects the object.
@@ -50,6 +53,7 @@ mod cache;
 mod measurement;
 mod motion;
 mod preprocess;
+mod reach;
 mod seed;
 mod sir;
 mod state;
@@ -63,7 +67,8 @@ pub use preprocess::{
     derive_stream_seed, DegradationLevel, ParticlePreprocessor, PreprocessorConfig,
     SupervisionOptions,
 };
-pub use seed::{seed_intervals, seed_particles};
+pub use reach::SensorGeometry;
+pub use seed::seed_intervals;
 pub use sir::{resample_indices, resample_indices_n, ParticleFilter};
 pub use state::{Heading, IndoorState};
 pub use trajectory::{reconstruct_trajectory, TrajectoryConfig, TrajectoryPoint};

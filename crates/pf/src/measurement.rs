@@ -4,10 +4,6 @@
 //! are assigned a high weight, while others are assigned a very low
 //! weight."
 
-use crate::IndoorState;
-use ripq_graph::WalkingGraph;
-use ripq_rfid::Reader;
-
 /// Binary in-range / out-of-range observation likelihood.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementModel {
@@ -30,10 +26,11 @@ impl Default for MeasurementModel {
 }
 
 impl MeasurementModel {
-    /// Likelihood `p(z | x)` of reader `detecting` having produced a
-    /// reading given the particle state `s`.
-    pub fn likelihood(&self, graph: &WalkingGraph, s: &IndoorState, detecting: &Reader) -> f64 {
-        if detecting.covers(graph.point_of(s.pos)) {
+    /// Likelihood `p(z | x)` of the detecting reader having produced a
+    /// reading, given whether the particle state lies `inside` its
+    /// activation range.
+    pub fn likelihood(&self, inside: bool) -> f64 {
+        if inside {
             self.high_weight
         } else {
             self.low_weight
@@ -44,10 +41,17 @@ impl MeasurementModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Heading;
+    use crate::{Heading, IndoorState, SensorGeometry};
     use ripq_floorplan::{office_building, OfficeParams};
-    use ripq_graph::{build_walking_graph, GraphPos};
-    use ripq_rfid::ReaderId;
+    use ripq_graph::{build_walking_graph, GraphPos, WalkingGraph};
+    use ripq_rfid::{Reader, ReaderId};
+
+    /// The weight a particle at `s` gets from a reading of `reader`, the
+    /// only reader deployed.
+    fn weight(m: &MeasurementModel, g: &WalkingGraph, s: &IndoorState, reader: &Reader) -> f64 {
+        let geometry = SensorGeometry::new(g, std::slice::from_ref(reader));
+        m.likelihood(geometry.covers(g, reader, s.pos))
+    }
 
     #[test]
     fn boundary_point_counts_as_inside() {
@@ -68,7 +72,7 @@ mod tests {
             heading: Heading::TowardB,
             speed: 1.0,
         };
-        assert_eq!(m.likelihood(&g, &s, &reader), m.high_weight);
+        assert_eq!(weight(&m, &g, &s, &reader), m.high_weight);
     }
 
     #[test]
@@ -95,7 +99,7 @@ mod tests {
             heading: Heading::TowardB,
             speed: 1.0,
         };
-        assert_eq!(m.likelihood(&g, &near, &reader), 1.0);
-        assert_eq!(m.likelihood(&g, &far, &reader), 1e-4);
+        assert_eq!(weight(&m, &g, &near, &reader), 1.0);
+        assert_eq!(weight(&m, &g, &far, &reader), 1e-4);
     }
 }

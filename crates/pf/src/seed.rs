@@ -32,56 +32,70 @@ pub fn seed_intervals(graph: &WalkingGraph, reader: &Reader) -> Vec<(EdgeId, f64
     out
 }
 
-/// Draws `n` particles uniformly (by arc length) over the edge intervals
-/// covered by `reader`, each with a random heading and a speed from the
-/// motion model's Gaussian.
-///
-/// Falls back to the reader's own graph projection when the activation
-/// disk covers no edge at all (pathological deployments), so callers
-/// always receive `n` particles.
-pub fn seed_particles<R: Rng>(
-    rng: &mut R,
-    graph: &WalkingGraph,
-    reader: &Reader,
-    motion: &MotionModel,
-    n: usize,
-) -> Vec<IndoorState> {
-    let intervals = seed_intervals(graph, reader);
-    let total: f64 = intervals.iter().map(|(_, lo, hi)| hi - lo).sum();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let pos = if total > 1e-12 {
-            let mut x = rng.random::<f64>() * total;
-            let mut chosen = GraphPos::new(intervals[0].0, intervals[0].1);
-            for &(e, lo, hi) in &intervals {
-                let len = hi - lo;
-                if x <= len {
-                    chosen = GraphPos::new(e, lo + x);
-                    break;
-                }
-                x -= len;
-            }
-            chosen
-        } else {
-            reader.graph_pos()
-        };
-        let heading = if rng.random::<bool>() {
-            Heading::TowardA
-        } else {
-            Heading::TowardB
-        };
-        out.push(IndoorState {
-            pos: graph.clamp_pos(pos),
-            heading,
-            speed: motion.sample_speed(rng),
-        });
+/// One reader's [`seed_intervals`] and their total length, computed once
+/// per world by [`crate::SensorGeometry`] so seeding never rescans the
+/// graph.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct SeedSpans {
+    intervals: Vec<(EdgeId, f64, f64)>,
+    total: f64,
+}
+
+impl SeedSpans {
+    pub(crate) fn new(graph: &WalkingGraph, reader: &Reader) -> Self {
+        let intervals = seed_intervals(graph, reader);
+        let total = intervals.iter().map(|(_, lo, hi)| hi - lo).sum();
+        SeedSpans { intervals, total }
     }
-    out
+
+    /// Draws `n` particles uniformly (by arc length) over the spans, each
+    /// with a random heading and a speed from the motion model's Gaussian;
+    /// every particle sits at `fallback` when the spans cover nothing.
+    pub(crate) fn draw<R: Rng>(
+        &self,
+        rng: &mut R,
+        graph: &WalkingGraph,
+        fallback: GraphPos,
+        motion: &MotionModel,
+        n: usize,
+    ) -> Vec<IndoorState> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let pos = match self.intervals.first() {
+                Some(&(e0, lo0, _)) if self.total > 1e-12 => {
+                    let mut x = rng.random::<f64>() * self.total;
+                    let mut chosen = GraphPos::new(e0, lo0);
+                    for &(e, lo, hi) in &self.intervals {
+                        let len = hi - lo;
+                        if x <= len {
+                            chosen = GraphPos::new(e, lo + x);
+                            break;
+                        }
+                        x -= len;
+                    }
+                    chosen
+                }
+                _ => fallback,
+            };
+            let heading = if rng.random::<bool>() {
+                Heading::TowardA
+            } else {
+                Heading::TowardB
+            };
+            out.push(IndoorState {
+                pos: graph.clamp_pos(pos),
+                heading,
+                speed: motion.sample_speed(rng),
+            });
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SensorGeometry;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ripq_floorplan::{office_building, OfficeParams};
@@ -93,6 +107,17 @@ mod tests {
         let g = build_walking_graph(&plan);
         let readers = deploy_uniform(&plan, &g, 19, 2.0);
         (g, readers)
+    }
+
+    fn seed_particles(
+        rng: &mut StdRng,
+        g: &WalkingGraph,
+        readers: &[Reader],
+        reader: usize,
+        n: usize,
+    ) -> Vec<IndoorState> {
+        let motion = MotionModel::default();
+        SensorGeometry::new(g, readers).seed_particles(rng, g, &readers[reader], &motion, n)
     }
 
     #[test]
@@ -118,8 +143,7 @@ mod tests {
     fn seeded_particles_inside_range() {
         let (g, readers) = setup();
         let mut rng = StdRng::seed_from_u64(12);
-        let motion = MotionModel::default();
-        let particles = seed_particles(&mut rng, &g, &readers[3], &motion, 256);
+        let particles = seed_particles(&mut rng, &g, &readers, 3, 256);
         assert_eq!(particles.len(), 256);
         for p in &particles {
             let pt = g.point_of(p.pos);
@@ -132,8 +156,7 @@ mod tests {
     fn seeded_headings_both_directions() {
         let (g, readers) = setup();
         let mut rng = StdRng::seed_from_u64(13);
-        let motion = MotionModel::default();
-        let particles = seed_particles(&mut rng, &g, &readers[0], &motion, 200);
+        let particles = seed_particles(&mut rng, &g, &readers, 0, 200);
         let toward_a = particles
             .iter()
             .filter(|p| p.heading == Heading::TowardA)
@@ -148,28 +171,28 @@ mod tests {
     fn pathological_reader_falls_back_to_projection() {
         let (g, _) = setup();
         let mut rng = StdRng::seed_from_u64(14);
-        let motion = MotionModel::default();
         // A reader far outside the building with a tiny range.
         let far = Reader::new(
-            ReaderId::new(99),
+            ReaderId::new(0),
             ripq_geom::Point2::new(-100.0, -100.0),
             g.project(ripq_geom::Point2::new(-100.0, -100.0)),
             0.01,
         );
-        let particles = seed_particles(&mut rng, &g, &far, &motion, 8);
+        let particles = seed_particles(&mut rng, &g, &[far], 0, 8);
         assert_eq!(particles.len(), 8);
+        assert!(particles
+            .iter()
+            .all(|p| p.pos == g.clamp_pos(far.graph_pos())));
     }
 
     #[test]
     fn seeding_is_roughly_uniform_over_covered_length() {
         let (g, readers) = setup();
         let mut rng = StdRng::seed_from_u64(15);
-        let motion = MotionModel::default();
-        let reader = &readers[9];
-        let ivals = seed_intervals(&g, reader);
+        let ivals = seed_intervals(&g, &readers[9]);
         let total: f64 = ivals.iter().map(|(_, lo, hi)| hi - lo).sum();
         let n = 4000;
-        let particles = seed_particles(&mut rng, &g, reader, &motion, n);
+        let particles = seed_particles(&mut rng, &g, &readers, 9, n);
         // Count particles in each interval; expect proportional to length.
         for &(e, lo, hi) in &ivals {
             let count = particles
