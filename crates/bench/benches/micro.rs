@@ -12,8 +12,8 @@ use ripq_geom::{Point2, Rect};
 use ripq_graph::{build_walking_graph, AnchorObjectIndex, AnchorSet};
 use ripq_obs::Recorder;
 use ripq_pf::{
-    resample_indices, Heading, IndoorState, MotionModel, ParticlePreprocessor, PreprocessorConfig,
-    SupervisionOptions,
+    resample_indices, Heading, IndoorState, MotionModel, ParticleFilter, ParticlePreprocessor,
+    PreprocessorConfig, SensorGeometry, SupervisionOptions,
 };
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId};
 use std::hint::black_box;
@@ -47,6 +47,57 @@ fn bench_motion_step(c: &mut Criterion) {
             black_box(s.pos)
         })
     });
+}
+
+/// One second of Algorithm 2's main loop over 64 particles: the motion
+/// step, then the observation update of a `silent` second (negative
+/// evidence against every reader that reaches a particle's edge) or of a
+/// `detected` second (a reading of the reader the cloud was seeded at).
+/// Every iteration restarts from the same seeded cloud, so each sample
+/// measures the same work.
+fn bench_pf_second(c: &mut Criterion) {
+    let plan = office_building(&OfficeParams::default()).unwrap();
+    let graph = build_walking_graph(&plan);
+    let readers = deploy_uniform(&plan, &graph, 19, 2.0);
+    let geometry = SensorGeometry::new(&graph, &readers);
+    let config = PreprocessorConfig::default();
+    let (motion, mm) = (config.motion, config.measurement);
+    let mut rng = StdRng::seed_from_u64(5);
+    let reader = &readers[4];
+    let seeds = geometry.seed_particles(&mut rng, &graph, reader, &motion, 64);
+    let mut group = c.benchmark_group("pf_second_64p");
+    group.bench_function("silent", |b| {
+        b.iter(|| {
+            let mut filter = ParticleFilter::from_states(seeds.clone());
+            filter.predict(|s| motion.step(&mut rng, &graph, s, 1.0));
+            filter.reweight(|s| {
+                if geometry.any_covers(&graph, s.pos) {
+                    mm.low_weight
+                } else {
+                    mm.high_weight
+                }
+            });
+            filter.normalize();
+            black_box(filter)
+        })
+    });
+    group.bench_function("detected", |b| {
+        b.iter(|| {
+            let mut filter = ParticleFilter::from_states(seeds.clone());
+            filter.predict(|s| motion.step(&mut rng, &graph, s, 1.0));
+            let mut any_consistent = false;
+            filter.reweight(|s| {
+                let inside = geometry.covers(&graph, reader, s.pos);
+                any_consistent |= inside;
+                mm.likelihood(inside)
+            });
+            if any_consistent {
+                filter.normalize();
+            }
+            black_box(filter)
+        })
+    });
+    group.finish();
 }
 
 fn bench_shortest_paths(c: &mut Criterion) {
@@ -401,6 +452,7 @@ criterion_group!(
     benches,
     bench_resampling,
     bench_motion_step,
+    bench_pf_second,
     bench_shortest_paths,
     bench_range_query,
     bench_knn_query,
