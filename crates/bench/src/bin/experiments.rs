@@ -69,21 +69,19 @@ fn main() {
         "perf" => {
             println!("\n== Performance: evaluation latency vs population ==");
             println!(
-                "{:>10}{:>16}{:>16}{:>12}{:>12}{:>12}",
-                "objects", "evaluate", "preprocess", "candidates", "SIR iters", "sp hits"
+                "{:>10}{:>16}{:>16}{:>12}{:>12}",
+                "objects", "evaluate", "preprocess", "candidates", "SIR iters"
             );
             let rows = run_perf(scale);
             for r in &rows {
                 let sir = r.metrics.counters.get("pf.sir_iterations").copied();
-                let sp_hits = r.metrics.gauges.get("spcache.memo_hits").copied();
                 println!(
-                    "{:>10}{:>16}{:>16}{:>12}{:>12}{:>12}",
+                    "{:>10}{:>16}{:>16}{:>12}{:>12}",
                     r.objects,
                     format!("{:.2?}", r.evaluate),
                     format!("{:.2?}", r.preprocessing),
                     r.candidates,
                     sir.unwrap_or(0),
-                    sp_hits.unwrap_or(0),
                 );
             }
             if let Some(last) = rows.last() {

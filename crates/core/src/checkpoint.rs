@@ -20,19 +20,9 @@ use std::path::{Path, PathBuf};
 /// File name of the system snapshot inside the checkpoint directory.
 pub const SNAPSHOT_FILE: &str = "system.ckpt";
 
-/// File name of the landmark distance-oracle snapshot (written alongside
-/// the system snapshot when the ALT backend is active, so a recovered —
-/// or freshly started — run skips the landmark precomputation).
-pub const ORACLE_FILE: &str = "oracle.ckpt";
-
 /// Full path of the snapshot file for a checkpoint directory.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
-}
-
-/// Full path of the oracle snapshot for a checkpoint directory.
-pub fn oracle_path(dir: &Path) -> PathBuf {
-    dir.join(ORACLE_FILE)
 }
 
 /// What [`crate::IndoorQuerySystem::recover`] found on disk.

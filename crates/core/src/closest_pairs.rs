@@ -43,6 +43,9 @@ pub struct ClosestPairsQuery {
 /// (not per object), then O(pairs × support²) accumulation. With the
 /// default 64-particle distributions supports are small (≤ a few dozen
 /// anchors per object).
+///
+/// This is the full-Dijkstra reference for
+/// [`evaluate_closest_pairs_with_oracle`], which the system runs.
 pub fn evaluate_closest_pairs(
     graph: &WalkingGraph,
     anchors: &AnchorSet,

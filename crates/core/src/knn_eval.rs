@@ -11,8 +11,11 @@
 //!
 //! Our implementation visits anchors in exactly the same order as the
 //! paper's frontier expansion — ascending shortest network distance from
-//! `q` — using one Dijkstra pass plus a min-heap over anchors, and stops at
-//! the same Σp ≥ k criterion, so it returns the identical result set.
+//! `q` — and stops at the same Σp ≥ k criterion, so it returns the
+//! identical result set. [`evaluate_knn`] does it with one full Dijkstra
+//! pass plus a min-heap over anchors and is the reference the tests pin;
+//! the system runs [`evaluate_knn_with_oracle`], which visits the same
+//! anchors in the same order through the landmark oracle's lazy scan.
 
 use crate::{KnnQuery, ResultSet};
 use ripq_graph::{AnchorObjectIndex, AnchorSet, DistanceOracle, WalkingGraph};
@@ -53,29 +56,15 @@ impl PartialOrd for Entry {
 /// The query point is first "approximated to the nearest edge of the
 /// indoor walking graph" (§4.6). Returns the accumulated result set; its
 /// total probability is ≥ `min(k, total mass in the index)`.
+///
+/// This is the full-Dijkstra reference for [`evaluate_knn_with_oracle`].
 pub fn evaluate_knn(
     graph: &WalkingGraph,
     anchors: &AnchorSet,
     index: &AnchorObjectIndex<ObjectId>,
     query: &KnnQuery,
 ) -> ResultSet {
-    let qpos = graph.project(query.point);
-    let sp = graph.shortest_paths_from(qpos);
-    evaluate_knn_with_paths(graph, anchors, index, query, &sp)
-}
-
-/// [`evaluate_knn`] over a caller-provided Dijkstra result.
-///
-/// Registered (standing) kNN queries have a fixed query point, so the
-/// system facade computes each query's [`ripq_graph::ShortestPaths`] once and reuses
-/// it across evaluation passes instead of re-running Dijkstra per tick.
-pub fn evaluate_knn_with_paths(
-    graph: &WalkingGraph,
-    anchors: &AnchorSet,
-    index: &AnchorObjectIndex<ObjectId>,
-    query: &KnnQuery,
-    sp: &ripq_graph::ShortestPaths,
-) -> ResultSet {
+    let sp = graph.shortest_paths_from(graph.project(query.point));
     // Seed the frontier with every anchor's network distance. (One
     // distance lookup per anchor is O(1) after the Dijkstra pass.)
     let mut heap = BinaryHeap::with_capacity(anchors.anchors().len());

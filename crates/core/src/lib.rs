@@ -23,8 +23,8 @@
 //!   query point until the accumulated probability reaches `k`;
 //! * [`IndoorQuerySystem`] — the end-to-end facade: feed raw readings in,
 //!   register queries, call [`IndoorQuerySystem::evaluate`] for answers;
-//! * [`continuous`] — continuous range/kNN queries (the paper's stated
-//!   future work) maintained incrementally across timestamps.
+//! * [`continuous`] — continuous range/kNN subscriptions (the paper's
+//!   stated future work): per-pass result deltas of registered queries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,17 +49,19 @@ pub use closest_pairs::{
     evaluate_closest_pairs, evaluate_closest_pairs_with_oracle, ClosestPairsQuery, ObjectPair,
 };
 pub use error::{CoreError, RipqError};
-pub use knn_eval::{evaluate_knn, evaluate_knn_with_oracle, evaluate_knn_with_paths};
+pub use knn_eval::{evaluate_knn, evaluate_knn_with_oracle};
 pub use occupancy::{room_occupancy, OccupancyReport, RoomOccupancy};
 pub use optimizer::{
-    prune_knn_candidates, prune_knn_candidates_with_oracle, prune_knn_candidates_with_paths,
-    prune_range_candidates, uncertain_region_radius,
+    prune_knn_candidates, prune_knn_candidates_with_oracle, prune_range_candidates,
+    uncertain_region_radius,
 };
 pub use ptknn::{evaluate_ptknn, evaluate_ptknn_with_oracle, PtknnQuery};
 pub use query::{KnnQuery, QueryId, RangeQuery};
 pub use range_eval::evaluate_range;
 pub use result::{ProbResult, ResultSet};
-pub use ripq_graph::{DistanceBackend, DistanceOracle, OracleError, OracleStats};
+pub use ripq_graph::{DistanceOracle, OracleStats};
 pub use ripq_obs::{MetricsSnapshot, Recorder};
 pub use ripq_pf::DegradationLevel;
-pub use system::{EvaluationReport, EvaluationTimings, IndoorQuerySystem, SystemConfig};
+pub use system::{
+    record_oracle_effort, EvaluationReport, EvaluationTimings, IndoorQuerySystem, SystemConfig,
+};

@@ -15,7 +15,7 @@
 
 use crate::KnnQuery;
 use ripq_geom::Rect;
-use ripq_graph::{DistanceOracle, ShortestPaths, WalkingGraph};
+use ripq_graph::{DistanceOracle, WalkingGraph};
 use ripq_rfid::{DataCollector, ObjectId, Reader};
 
 /// Radius of an object's uncertain region: how far it may have walked
@@ -63,6 +63,9 @@ pub fn prune_range_candidates(
 /// bound the object's possible network distance to `q`; with `f` the k-th
 /// smallest `lᵢ`, any object with `sᵢ > f` is provably outside every
 /// possible kNN result.
+///
+/// This is the full-Dijkstra reference for
+/// [`prune_knn_candidates_with_oracle`], which the system runs.
 pub fn prune_knn_candidates(
     graph: &WalkingGraph,
     collector: &DataCollector,
@@ -71,24 +74,7 @@ pub fn prune_knn_candidates(
     now: u64,
     max_speed: f64,
 ) -> Vec<ObjectId> {
-    let qpos = graph.project(query.point);
-    let sp = graph.shortest_paths_from(qpos);
-    prune_knn_candidates_with_paths(graph, collector, readers, query, now, max_speed, &sp)
-}
-
-/// [`prune_knn_candidates`] with a precomputed Dijkstra tree for the
-/// query point. Registered queries have fixed points, so the facade
-/// memoizes the tree (see [`ripq_graph::ShortestPathCache`]) instead of
-/// re-running Dijkstra on every evaluation pass.
-pub fn prune_knn_candidates_with_paths(
-    graph: &WalkingGraph,
-    collector: &DataCollector,
-    readers: &[Reader],
-    query: &KnnQuery,
-    now: u64,
-    max_speed: f64,
-    sp: &ShortestPaths,
-) -> Vec<ObjectId> {
+    let sp = graph.shortest_paths_from(graph.project(query.point));
     prune_knn_with_distance(collector, readers, query, now, max_speed, |reader| {
         sp.distance_to(graph, reader.graph_pos())
     })
@@ -99,7 +85,7 @@ pub fn prune_knn_candidates_with_paths(
 /// goal-directed [`DistanceOracle::distance`] query instead of a full
 /// Dijkstra tree. ALT point-to-point answers are bit-identical to
 /// Dijkstra's, so the `sᵢ / lᵢ / f` arithmetic — and the pruned set —
-/// match the [`prune_knn_candidates_with_paths`] path exactly.
+/// match [`prune_knn_candidates`] exactly.
 pub fn prune_knn_candidates_with_oracle(
     graph: &WalkingGraph,
     collector: &DataCollector,

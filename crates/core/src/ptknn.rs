@@ -57,6 +57,9 @@ impl PtknnQuery {
 /// is ≈ √(p(1−p)/rounds); 200 rounds resolve probabilities to ~±0.035).
 /// Returns the objects whose estimated kNN-membership probability is
 /// `≥ query.threshold`, with those probabilities.
+///
+/// This is the full-Dijkstra reference for [`evaluate_ptknn_with_oracle`],
+/// which the system runs.
 pub fn evaluate_ptknn<R: Rng>(
     rng: &mut R,
     graph: &WalkingGraph,

@@ -3,19 +3,17 @@
 use crate::checkpoint::{self, RecoveryOutcome};
 use crate::clock::{Clock, TimingMode};
 use crate::{
-    evaluate_closest_pairs, evaluate_closest_pairs_with_oracle, evaluate_knn_with_oracle,
-    evaluate_knn_with_paths, evaluate_ptknn, evaluate_ptknn_with_oracle, evaluate_range,
-    prune_knn_candidates_with_oracle, prune_knn_candidates_with_paths, prune_range_candidates,
-    ClosestPairsQuery, CoreError, KnnQuery, ObjectPair, PtknnQuery, QueryId, RangeQuery, ResultSet,
-    RipqError,
+    evaluate_closest_pairs_with_oracle, evaluate_knn_with_oracle, evaluate_ptknn_with_oracle,
+    evaluate_range, prune_knn_candidates_with_oracle, prune_range_candidates, ClosestPairsQuery,
+    CoreError, KnnQuery, ObjectPair, PtknnQuery, QueryId, RangeQuery, ResultSet, RipqError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ripq_floorplan::FloorPlan;
 use ripq_geom::{Point2, Rect};
 use ripq_graph::{
-    build_walking_graph, AnchorObjectIndex, AnchorSet, DistanceBackend, DistanceOracle,
-    OracleError, ShortestPathCache, ShortestPaths, WalkingGraph, DEFAULT_LANDMARKS,
+    build_walking_graph, AnchorObjectIndex, AnchorSet, DistanceOracle, OracleStats, WalkingGraph,
+    DEFAULT_LANDMARKS,
 };
 use ripq_obs::{MetricsSnapshot, Recorder};
 use ripq_persist::{
@@ -28,7 +26,6 @@ use ripq_pf::{
 use ripq_rfid::{deploy_uniform, DataCollector, ObjectId, RawReading, Reader, ReaderId};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of an [`IndoorQuerySystem`]. Defaults match Table 2 of
@@ -82,15 +79,6 @@ pub struct SystemConfig {
     /// automatic checkpointing; [`IndoorQuerySystem::checkpoint_now`]
     /// still works.
     pub checkpoint_every: u64,
-    /// How network distances are produced during candidate pruning and
-    /// query evaluation. [`DistanceBackend::Dijkstra`] (default) runs the
-    /// original memoized full-tree searches;  [`DistanceBackend::Alt`]
-    /// routes them through the landmark [`DistanceOracle`] — goal-directed
-    /// ALT point-to-point queries and truncated ascending anchor scans —
-    /// with bit-identical answers (the differential suite in
-    /// `tests/oracle.rs` pins this). The backend never changes results,
-    /// only how much graph is searched to produce them.
-    pub distance_backend: DistanceBackend,
     /// Per-evaluation deadline budget in deterministic logical cost units
     /// (`coast seconds × particle count` per object). When the remaining
     /// budget cannot afford an object's full particle filter, evaluation
@@ -115,7 +103,6 @@ impl Default for SystemConfig {
             reorder_window: 0,
             timing: TimingMode::Wall,
             observability: false,
-            distance_backend: DistanceBackend::Dijkstra,
             checkpoint_every: 0,
             query_budget: None,
         }
@@ -192,13 +179,12 @@ pub struct IndoorQuerySystem {
     config: SystemConfig,
     recorder: Recorder,
     rng: StdRng,
-    /// Memoized Dijkstra trees keyed by source position, shared by query
-    /// registration and per-pass candidate pruning.
-    sp_cache: ShortestPathCache,
-    /// Landmark distance oracle, built lazily on the first evaluation
-    /// under [`DistanceBackend::Alt`] (or restored from `oracle.ckpt` by
-    /// recovery) and shared read-only across the pass.
-    oracle: Option<Arc<DistanceOracle>>,
+    /// Landmark distance oracle behind every network distance of kNN
+    /// pruning and of kNN, PTkNN and closest-pairs evaluation. Built on
+    /// the first evaluation, like `sensor_geometry`, and kept for the
+    /// system's lifetime; never persisted (rebuilding costs
+    /// [`DEFAULT_LANDMARKS`] Dijkstra passes).
+    oracle: Option<DistanceOracle>,
     /// Reader reach and seeding spans of `graph` and `readers`, built on
     /// the first evaluation (not in [`IndoorQuerySystem::new`], which
     /// pipelines that never evaluate should not pay for) and kept for the
@@ -215,9 +201,6 @@ pub struct IndoorQuerySystem {
     // the same sequence every run.
     range_queries: BTreeMap<QueryId, RangeQuery>,
     knn_queries: BTreeMap<QueryId, KnnQuery>,
-    /// Dijkstra results for registered kNN queries' fixed points, computed
-    /// once at registration and reused every evaluation pass.
-    knn_paths: BTreeMap<QueryId, Arc<ShortestPaths>>,
     ptknn_queries: BTreeMap<QueryId, PtknnQuery>,
     closest_pairs_queries: BTreeMap<QueryId, ClosestPairsQuery>,
     next_query: u32,
@@ -259,13 +242,11 @@ impl IndoorQuerySystem {
             config,
             recorder,
             rng: StdRng::seed_from_u64(seed),
-            sp_cache: ShortestPathCache::new(),
             oracle: None,
             sensor_geometry: None,
             live_index: AnchorObjectIndex::new(),
             range_queries: BTreeMap::new(),
             knn_queries: BTreeMap::new(),
-            knn_paths: BTreeMap::new(),
             ptknn_queries: BTreeMap::new(),
             closest_pairs_queries: BTreeMap::new(),
             next_query: 0,
@@ -305,26 +286,6 @@ impl IndoorQuerySystem {
     /// The configuration.
     pub fn config(&self) -> &SystemConfig {
         &self.config
-    }
-
-    /// The landmark distance oracle, if one has been built or restored —
-    /// `None` until the first evaluation under [`DistanceBackend::Alt`].
-    pub fn distance_oracle(&self) -> Option<&DistanceOracle> {
-        self.oracle.as_deref()
-    }
-
-    /// The oracle for this graph, building (and memoizing) it on first
-    /// use. Precomputation is [`DEFAULT_LANDMARKS`] Dijkstra passes — paid
-    /// once per system (or restored from a checkpoint), then amortized by
-    /// every truncated search.
-    fn ensure_oracle(&mut self) -> Arc<DistanceOracle> {
-        if let Some(oracle) = &self.oracle {
-            return Arc::clone(oracle);
-        }
-        let oracle = Arc::new(DistanceOracle::build(&self.graph, DEFAULT_LANDMARKS));
-        self.recorder.add("oracle.builds", 1);
-        self.oracle = Some(Arc::clone(&oracle));
-        oracle
     }
 
     /// Ingests pre-aggregated detections for one second.
@@ -381,18 +342,11 @@ impl IndoorQuerySystem {
         Ok(id)
     }
 
-    /// Registers a kNN query. Under the Dijkstra backend the query
-    /// point's Dijkstra pass is computed now and reused on every
-    /// [`IndoorQuerySystem::evaluate`]; under ALT the oracle's lazy scan
-    /// serves the point directly and no tree is built.
+    /// Registers a kNN query.
     pub fn register_knn(&mut self, point: Point2, k: usize) -> Result<QueryId, CoreError> {
         let id = QueryId::new(self.next_query);
         let q = KnnQuery::new(id, point, k)?;
         self.next_query += 1;
-        if self.config.distance_backend == DistanceBackend::Dijkstra {
-            let sp = self.sp_cache.paths(&self.graph, self.graph.project(point));
-            self.knn_paths.insert(id, sp);
-        }
         self.knn_queries.insert(id, q);
         Ok(id)
     }
@@ -427,7 +381,6 @@ impl IndoorQuerySystem {
 
     /// Removes a registered query.
     pub fn deregister(&mut self, id: QueryId) -> Result<(), CoreError> {
-        self.knn_paths.remove(&id);
         if self.range_queries.remove(&id).is_some()
             || self.knn_queries.remove(&id).is_some()
             || self.ptknn_queries.remove(&id).is_some()
@@ -463,10 +416,11 @@ impl IndoorQuerySystem {
         let clock = Clock::new(self.config.timing);
         let t_start = clock.now();
         let objects_known = self.collector.objects().count();
-        // Under the ALT backend every network-distance consumer below goes
-        // through the oracle; answers are bit-identical either way.
-        let oracle: Option<Arc<DistanceOracle>> =
-            (self.config.distance_backend == DistanceBackend::Alt).then(|| self.ensure_oracle());
+        // Every network distance below comes from the landmark oracle.
+        let oracle: &DistanceOracle = self
+            .oracle
+            .get_or_insert_with(|| DistanceOracle::build(&self.graph, DEFAULT_LANDMARKS));
+        let effort_before = oracle.stats();
 
         // 1. Query-aware optimization (§4.3). Per-rule counters record
         // how many candidates each pruning rule admitted (pre-dedup).
@@ -483,35 +437,23 @@ impl IndoorQuerySystem {
             self.recorder
                 .add("optimizer.candidates_rule_range", c.len() as u64);
             let mut from_knn = 0u64;
-            for (id, q) in &self.knn_queries {
-                let picked = match &oracle {
-                    Some(or) => prune_knn_candidates_with_oracle(
-                        &self.graph,
-                        &self.collector,
-                        &self.readers,
-                        q,
-                        now,
-                        self.config.max_speed,
-                        or,
-                    ),
-                    None => prune_knn_candidates_with_paths(
-                        &self.graph,
-                        &self.collector,
-                        &self.readers,
-                        q,
-                        now,
-                        self.config.max_speed,
-                        &self.knn_paths[id],
-                    ),
-                };
+            for q in self.knn_queries.values() {
+                let picked = prune_knn_candidates_with_oracle(
+                    &self.graph,
+                    &self.collector,
+                    &self.readers,
+                    q,
+                    now,
+                    self.config.max_speed,
+                    oracle,
+                );
                 from_knn += picked.len() as u64;
                 c.extend(picked);
             }
             self.recorder.add("optimizer.candidates_rule_knn", from_knn);
             // PTkNN pruning reuses the kNN bound; closest-pairs queries
-            // are global and keep every object. The Dijkstra tree of each
-            // fixed query point is memoized across passes (the oracle
-            // memoizes per (source, reader) pair instead).
+            // are global and keep every object. The oracle memoizes each
+            // (query point, reader) distance across passes.
             let mut from_ptknn = 0u64;
             for q in self.ptknn_queries.values() {
                 let as_knn = KnnQuery {
@@ -519,31 +461,15 @@ impl IndoorQuerySystem {
                     point: q.point,
                     k: q.k,
                 };
-                let picked = match &oracle {
-                    Some(or) => prune_knn_candidates_with_oracle(
-                        &self.graph,
-                        &self.collector,
-                        &self.readers,
-                        &as_knn,
-                        now,
-                        self.config.max_speed,
-                        or,
-                    ),
-                    None => {
-                        let sp = self
-                            .sp_cache
-                            .paths(&self.graph, self.graph.project(q.point));
-                        prune_knn_candidates_with_paths(
-                            &self.graph,
-                            &self.collector,
-                            &self.readers,
-                            &as_knn,
-                            now,
-                            self.config.max_speed,
-                            &sp,
-                        )
-                    }
-                };
+                let picked = prune_knn_candidates_with_oracle(
+                    &self.graph,
+                    &self.collector,
+                    &self.readers,
+                    &as_knn,
+                    now,
+                    self.config.max_speed,
+                    oracle,
+                );
                 from_ptknn += picked.len() as u64;
                 c.extend(picked);
             }
@@ -642,13 +568,7 @@ impl IndoorQuerySystem {
         let mut knn_results = BTreeMap::new();
         for (id, q) in &self.knn_queries {
             let t_q = obs_on.then(|| clock.now());
-            let rs = match &oracle {
-                Some(or) => evaluate_knn_with_oracle(&self.graph, &self.anchors, &index, q, or),
-                None => {
-                    let sp = &self.knn_paths[id];
-                    evaluate_knn_with_paths(&self.graph, &self.anchors, &index, q, sp)
-                }
-            };
+            let rs = evaluate_knn_with_oracle(&self.graph, &self.anchors, &index, q, oracle);
             knn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -658,25 +578,15 @@ impl IndoorQuerySystem {
         let mut ptknn_results = BTreeMap::new();
         for (id, q) in &self.ptknn_queries {
             let t_q = obs_on.then(|| clock.now());
-            let rs = match &oracle {
-                Some(or) => evaluate_ptknn_with_oracle(
-                    &mut self.rng,
-                    &self.graph,
-                    &self.anchors,
-                    &index,
-                    q,
-                    self.config.ptknn_rounds,
-                    or,
-                ),
-                None => evaluate_ptknn(
-                    &mut self.rng,
-                    &self.graph,
-                    &self.anchors,
-                    &index,
-                    q,
-                    self.config.ptknn_rounds,
-                ),
-            };
+            let rs = evaluate_ptknn_with_oracle(
+                &mut self.rng,
+                &self.graph,
+                &self.anchors,
+                &index,
+                q,
+                self.config.ptknn_rounds,
+                oracle,
+            );
             ptknn_results.insert(*id, rs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -686,12 +596,8 @@ impl IndoorQuerySystem {
         let mut closest_pairs_results = BTreeMap::new();
         for (id, q) in &self.closest_pairs_queries {
             let t_q = obs_on.then(|| clock.now());
-            let pairs = match &oracle {
-                Some(or) => {
-                    evaluate_closest_pairs_with_oracle(&self.graph, &self.anchors, &index, q, or)
-                }
-                None => evaluate_closest_pairs(&self.graph, &self.anchors, &index, q),
-            };
+            let pairs =
+                evaluate_closest_pairs_with_oracle(&self.graph, &self.anchors, &index, q, oracle);
             closest_pairs_results.insert(*id, pairs);
             if let Some(t_q) = t_q {
                 self.recorder
@@ -702,8 +608,8 @@ impl IndoorQuerySystem {
         let evaluation = clock.since(t_eval);
         self.recorder.record_span("evaluate/queries", evaluation);
 
-        // Cache-manager and shortest-path-cache levels, mirrored as
-        // gauges from this single-threaded point.
+        // Cache-manager levels, mirrored as gauges from this
+        // single-threaded point, and this pass's distance-oracle work.
         let cache_stats = self.cache.stats();
         if obs_on {
             self.recorder.set_gauge("cache.hits", cache_stats.hits);
@@ -712,28 +618,7 @@ impl IndoorQuerySystem {
                 .set_gauge("cache.invalidations", cache_stats.invalidations);
             self.recorder
                 .set_gauge("cache.entries", self.cache.len() as u64);
-            let sp = self.sp_cache.stats();
-            self.recorder.set_gauge("spcache.memo_hits", sp.hits);
-            self.recorder.set_gauge("spcache.misses", sp.misses);
-            self.recorder
-                .set_gauge("spcache.entries", self.sp_cache.len() as u64);
-            if let Some(or) = &oracle {
-                let os = or.stats();
-                self.recorder
-                    .set_gauge("oracle.p2p_queries", os.p2p_queries);
-                self.recorder
-                    .set_gauge("oracle.p2p_memo_hits", os.p2p_memo_hits);
-                self.recorder
-                    .set_gauge("oracle.p2p_settled", os.p2p_settled);
-                self.recorder
-                    .set_gauge("oracle.scan_queries", os.scan_queries);
-                self.recorder
-                    .set_gauge("oracle.scan_settled", os.scan_settled);
-                self.recorder
-                    .set_gauge("oracle.scan_anchor_candidates", os.scan_anchor_candidates);
-                self.recorder
-                    .set_gauge("oracle.landmarks", or.landmarks().len() as u64);
-            }
+            record_oracle_effort(&self.recorder, effort_before, oracle.stats());
         }
 
         let total = clock.since(t_start);
@@ -835,18 +720,6 @@ impl IndoorQuerySystem {
         let framed = seal_snapshot(&w.into_bytes());
         write_atomic(&checkpoint::snapshot_path(&dir), &framed)
             .map_err(|e| checkpoint::persist_io(&e))?;
-        // Under the ALT backend the landmark tables ride along, so the
-        // next life (or a CLI run pointed at the same directory) restores
-        // them instead of re-running the landmark Dijkstra passes. The
-        // tables are pure precomputation over the immutable graph —
-        // losing this file costs a rebuild, never correctness.
-        if self.config.distance_backend == DistanceBackend::Alt {
-            let oracle = self.ensure_oracle();
-            oracle
-                .save(&checkpoint::oracle_path(&dir))
-                .map_err(|e| checkpoint::persist_io(&e))?;
-            self.recorder.add("oracle.checkpoints_written", 1);
-        }
         self.recorder.add("recovery.checkpoints_written", 1);
         Ok(())
     }
@@ -871,7 +744,6 @@ impl IndoorQuerySystem {
     pub fn recover(&mut self, dir: impl Into<PathBuf>) -> Result<RecoveryOutcome, RipqError> {
         let dir = dir.into();
         let path = checkpoint::snapshot_path(&dir);
-        self.restore_oracle(&dir);
         self.checkpoint_dir = Some(dir);
         let payload = match load_snapshot(&path) {
             Ok(p) => p,
@@ -889,29 +761,6 @@ impl IndoorQuerySystem {
                 Ok(RecoveryOutcome::Resumed { replay_from })
             }
             Err(_damaged) => self.quarantine_snapshot(&path),
-        }
-    }
-
-    /// Best-effort restore of the landmark oracle from `oracle.ckpt`.
-    /// A missing file is normal (Dijkstra backend, or no checkpoint yet);
-    /// a damaged or graph-mismatched one is quarantined and the oracle is
-    /// rebuilt lazily — oracle trouble never fails recovery, because the
-    /// tables are rederivable precomputation, not state.
-    fn restore_oracle(&mut self, dir: &Path) {
-        if self.config.distance_backend != DistanceBackend::Alt {
-            return;
-        }
-        let path = checkpoint::oracle_path(dir);
-        match DistanceOracle::load(&path, &self.graph) {
-            Ok(oracle) => {
-                self.oracle = Some(Arc::new(oracle));
-                self.recorder.add("oracle.restored", 1);
-            }
-            Err(OracleError::Persist(PersistError::Missing)) => {}
-            Err(_damaged) => {
-                let _ = quarantine(&path);
-                self.recorder.add("oracle.quarantined", 1);
-            }
         }
     }
 
@@ -988,6 +837,22 @@ impl IndoorQuerySystem {
             self.last_checkpoint_error = Some(e.to_string());
         }
     }
+}
+
+/// Adds the distance-oracle work done between two [`OracleStats`]
+/// readings to the `oracle.*` counters. Only quantities that do not depend
+/// on how warm the oracle's memo is are recorded (memo hits and
+/// point-to-point settles are left out), so the counters restore with a
+/// checkpoint and a recovered run reproduces them exactly even though its
+/// oracle starts cold.
+pub fn record_oracle_effort(recorder: &Recorder, before: OracleStats, after: OracleStats) {
+    recorder.add("oracle.p2p_queries", after.p2p_queries - before.p2p_queries);
+    recorder.add("oracle.scan_queries", after.scan_queries - before.scan_queries);
+    recorder.add("oracle.scan_settled", after.scan_settled - before.scan_settled);
+    recorder.add(
+        "oracle.scan_anchor_candidates",
+        after.scan_anchor_candidates - before.scan_anchor_candidates,
+    );
 }
 
 #[cfg(test)]
@@ -1201,7 +1066,7 @@ mod tests {
             "optimizer",
             "pf",
             "cache",
-            "spcache",
+            "oracle",
             "evaluate",
         ] {
             assert!(

@@ -59,9 +59,6 @@ pub use graph::{GraphPos, WalkingGraph};
 pub use ids::{AnchorId, EdgeId, NodeId};
 pub use index::{AnchorObjectIndex, DeltaOutcome, IndexDeltaStats};
 pub use node::{Node, NodeKind};
-pub use oracle::{
-    graph_fingerprint, AnchorScan, DistanceBackend, DistanceOracle, OracleError, OracleStats,
-    DEFAULT_LANDMARKS,
-};
+pub use oracle::{AnchorScan, DistanceOracle, OracleStats, DEFAULT_LANDMARKS};
 pub use path::Path;
-pub use shortest::{ShortestPathCache, ShortestPaths, SpCacheStats};
+pub use shortest::ShortestPaths;

@@ -1,12 +1,10 @@
 //! Landmark (ALT) distance oracle over the walking graph.
 //!
 //! The paper's query evaluators need shortest *network* distances on
-//! `G(N, E)` (§4.2) at three granularities: point→point (candidate
-//! pruning), point→many-anchors in ascending order (kNN frontier
-//! expansion), and point→point *paths* (trajectory generation). The
-//! memoized per-source Dijkstra behind [`crate::ShortestPathCache`]
-//! answers all three by settling **every** node; this module answers
-//! them goal-directed:
+//! `G(N, E)` (§4.2) at two granularities: point→point (candidate
+//! pruning) and point→many-anchors in ascending order (kNN frontier
+//! expansion). A full [`crate::ShortestPaths`] tree answers both by
+//! settling **every** node; this module answers them goal-directed:
 //!
 //! * **Landmark tables** — `L` landmarks chosen by deterministic
 //!   farthest-point selection, each with a full node-distance table. By
@@ -31,97 +29,22 @@
 //!   interior edge offsets: any candidate produced by a future settle at
 //!   distance `g` is ≥ `g`, so a pending anchor strictly below the node
 //!   frontier can never be preempted.
-//! * **Persistence** — tables are sealed through `ripq-persist` frames
-//!   (see [`DistanceOracle::format_spec`]) keyed by a graph fingerprint,
-//!   so checkpoint/recovery and the CLI reuse them instead of
-//!   recomputing.
+//!
+//! The tables are cheap to derive (one Dijkstra pass per landmark) and
+//! are never persisted: owners build them once per graph.
 
-use crate::{AnchorId, AnchorSet, EdgeId, GraphPos, NodeId, Path, ShortestPaths, WalkingGraph};
-use ripq_persist::{
-    crc32, load_snapshot, seal_snapshot, write_atomic, ByteReader, ByteWriter, PersistError,
-};
+use crate::{AnchorId, AnchorSet, EdgeId, GraphPos, NodeId, ShortestPaths, WalkingGraph};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
-use std::fmt;
-use std::path::Path as FsPath;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{PoisonError, RwLock};
-
-/// Which distance machinery the query pipeline routes through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DistanceBackend {
-    /// Memoized full-tree Dijkstra per source (the original pipeline).
-    #[default]
-    Dijkstra,
-    /// Goal-directed landmark/ALT oracle; bit-identical answers with
-    /// truncated search.
-    Alt,
-}
-
-impl fmt::Display for DistanceBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            DistanceBackend::Dijkstra => "dijkstra",
-            DistanceBackend::Alt => "alt",
-        })
-    }
-}
-
-impl std::str::FromStr for DistanceBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dijkstra" => Ok(DistanceBackend::Dijkstra),
-            "alt" => Ok(DistanceBackend::Alt),
-            other => Err(format!("unknown distance backend {other:?} (dijkstra|alt)")),
-        }
-    }
-}
 
 /// Default number of landmarks ([`DistanceOracle::build`]).
 pub const DEFAULT_LANDMARKS: usize = 8;
 
-/// Snapshot format version of the serialized oracle payload.
-const ORACLE_FORMAT_VERSION: u32 = 1;
-
-/// Everything that can go wrong loading a serialized oracle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum OracleError {
-    /// The snapshot frame itself was missing, torn, or corrupt.
-    Persist(PersistError),
-    /// The snapshot was built for a different walking graph.
-    GraphMismatch {
-        /// Fingerprint of the graph in memory.
-        expected: u32,
-        /// Fingerprint recorded in the file.
-        found: u32,
-    },
-}
-
-impl fmt::Display for OracleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OracleError::Persist(e) => write!(f, "oracle snapshot: {e}"),
-            OracleError::GraphMismatch { expected, found } => write!(
-                f,
-                "oracle snapshot built for a different graph (expected {expected:#010x}, found {found:#010x})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for OracleError {}
-
-impl From<PersistError> for OracleError {
-    fn from(e: PersistError) -> Self {
-        OracleError::Persist(e)
-    }
-}
-
-/// Logical-cost counters of a [`DistanceOracle`], mirroring the
-/// `SpCacheStats` style: atomic adds, so totals are independent of
-/// thread interleaving. Settle counts are the oracle's
-/// distance-computation cost units.
+/// Logical-cost counters of a [`DistanceOracle`]: atomic adds, so totals
+/// are independent of thread interleaving. Settle counts are the
+/// oracle's distance-computation cost units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Point-to-point queries answered (including memoized ones).
@@ -136,10 +59,6 @@ pub struct OracleStats {
     pub scan_settled: u64,
     /// Anchor distance candidates evaluated by scans.
     pub scan_anchor_candidates: u64,
-    /// Path-planning queries answered.
-    pub path_queries: u64,
-    /// Nodes settled across all truncated path searches.
-    pub path_settled: u64,
 }
 
 #[derive(Debug, Default)]
@@ -150,12 +69,11 @@ struct Counters {
     scan_queries: AtomicU64,
     scan_settled: AtomicU64,
     scan_anchor_candidates: AtomicU64,
-    path_queries: AtomicU64,
-    path_settled: AtomicU64,
 }
 
-/// A graph position as an exact hashable key (edge + offset bits), as in
-/// `ShortestPathCache`.
+/// A graph position as an exact hashable key: the edge plus the *bit
+/// pattern* of the offset, so two positions compare equal exactly when
+/// every search from them produces identical results.
 type PosKey = (EdgeId, u64);
 
 /// Landmark/ALT distance oracle. See the module docs for the design and
@@ -166,7 +84,6 @@ pub struct DistanceOracle {
     /// `tables[l][node.index()]` = shortest network distance from
     /// landmark `l`'s node to `node` (∞ when unreachable).
     tables: Vec<Vec<f64>>,
-    fingerprint: u32,
     memo: RwLock<HashMap<(PosKey, PosKey), f64>>,
     counters: Counters,
 }
@@ -214,7 +131,6 @@ impl DistanceOracle {
         DistanceOracle {
             landmarks,
             tables,
-            fingerprint: graph_fingerprint(graph),
             memo: RwLock::new(HashMap::new()),
             counters: Counters::default(),
         }
@@ -263,12 +179,7 @@ impl DistanceOracle {
         &self.landmarks
     }
 
-    /// Fingerprint of the graph the tables were built for.
-    pub fn fingerprint(&self) -> u32 {
-        self.fingerprint
-    }
-
-    /// Counters accumulated since construction (or restore).
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> OracleStats {
         let c = &self.counters;
         let ld = |a: &AtomicU64| a.load(AtomicOrdering::Relaxed);
@@ -279,8 +190,6 @@ impl DistanceOracle {
             scan_queries: ld(&c.scan_queries),
             scan_settled: ld(&c.scan_settled),
             scan_anchor_candidates: ld(&c.scan_anchor_candidates),
-            path_queries: ld(&c.path_queries),
-            path_settled: ld(&c.path_settled),
         }
     }
 
@@ -330,7 +239,7 @@ impl DistanceOracle {
     /// to `ShortestPaths::from_pos(graph, from).distance_to(graph, to)`.
     ///
     /// Repeated queries for the same (source, target) pair are served
-    /// from a memo table, mirroring `ShortestPathCache`.
+    /// from a memo table.
     pub fn distance(&self, graph: &WalkingGraph, from: GraphPos, to: GraphPos) -> f64 {
         self.counters
             .p2p_queries
@@ -475,131 +384,6 @@ impl DistanceOracle {
         }
         out
     }
-
-    /// Shortest path from `from` to `to`, identical leg-for-leg to
-    /// `ShortestPaths::from_pos(..).path_to(..)` but computed by a
-    /// Dijkstra truncated once both target-edge endpoints settle. Being
-    /// plain Dijkstra underneath, the route is independent of the
-    /// distance backend — trajectory generation must produce the same
-    /// traces under both, or differential transcripts could never match.
-    pub fn plan_path(&self, graph: &WalkingGraph, from: GraphPos, to: GraphPos) -> Option<Path> {
-        self.counters
-            .path_queries
-            .fetch_add(1, AtomicOrdering::Relaxed);
-        let (sp, settled) = ShortestPaths::from_pos_until_edge(graph, from, to.edge);
-        self.counters
-            .path_settled
-            .fetch_add(settled, AtomicOrdering::Relaxed);
-        sp.path_to(graph, to)
-    }
-
-    /// Serializes the landmark tables (unsealed payload). The memo table
-    /// and counters are runtime state and are not persisted.
-    fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u32(ORACLE_FORMAT_VERSION);
-        w.put_u32(self.fingerprint);
-        let nodes = self.tables.first().map_or(0, Vec::len);
-        w.put_u64(nodes as u64);
-        w.put_seq_len(self.landmarks.len());
-        for (lm, table) in self.landmarks.iter().zip(&self.tables) {
-            w.put_u32(lm.raw());
-            for &d in table {
-                w.put_f64(d);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes an unsealed payload, validating it against `graph`.
-    fn decode(payload: &[u8], graph: &WalkingGraph) -> Result<Self, OracleError> {
-        let mut r = ByteReader::new(payload);
-        let version = r.get_u32()?;
-        if version != ORACLE_FORMAT_VERSION {
-            return Err(PersistError::StaleVersion {
-                found: version,
-                supported: ORACLE_FORMAT_VERSION,
-            }
-            .into());
-        }
-        let found = r.get_u32()?;
-        let expected = graph_fingerprint(graph);
-        if found != expected {
-            return Err(OracleError::GraphMismatch { expected, found });
-        }
-        let nodes = r.get_u64()? as usize;
-        if nodes != graph.nodes().len() {
-            return Err(OracleError::GraphMismatch { expected, found });
-        }
-        let count = r.get_seq_len(4 + nodes * 8)?;
-        let mut landmarks = Vec::with_capacity(count);
-        let mut tables = Vec::with_capacity(count);
-        for _ in 0..count {
-            landmarks.push(NodeId::new(r.get_u32()?));
-            let mut table = Vec::with_capacity(nodes);
-            for _ in 0..nodes {
-                table.push(r.get_f64()?);
-            }
-            tables.push(table);
-        }
-        r.finish()?;
-        Ok(DistanceOracle {
-            landmarks,
-            tables,
-            fingerprint: found,
-            memo: RwLock::new(HashMap::new()),
-            counters: Counters::default(),
-        })
-    }
-
-    /// Writes the oracle atomically as a sealed `ripq-persist` snapshot.
-    pub fn save(&self, path: &FsPath) -> Result<(), PersistError> {
-        write_atomic(path, &seal_snapshot(&self.encode()))
-    }
-
-    /// Loads a sealed oracle snapshot and validates it against `graph`.
-    pub fn load(path: &FsPath, graph: &WalkingGraph) -> Result<Self, OracleError> {
-        let payload = load_snapshot(path)?;
-        Self::decode(&payload, graph)
-    }
-
-    /// Human-readable contract of the serialized oracle payload (the
-    /// bytes *inside* the standard `ripq-persist` frame; see
-    /// `ripq_persist::format_spec` for the frame itself).
-    pub fn format_spec() -> String {
-        format!(
-            "ripq distance-oracle payload, version {ORACLE_FORMAT_VERSION}\n\
-             all integers little-endian; f64 as raw IEEE-754 bits\n\
-             \n\
-             u32  payload format version ({ORACLE_FORMAT_VERSION})\n\
-             u32  graph fingerprint: CRC32 over (node count u64, edge count u64,\n\
-             \x20    then per edge: endpoint a u32, endpoint b u32, length f64)\n\
-             u64  node count N (must match the graph on load)\n\
-             u64  landmark count L (length-prefixed sequence)\n\
-             repeated L times:\n\
-             \x20  u32      landmark node id\n\
-             \x20  f64 × N  distance table, indexed by node id (∞ = unreachable)\n\
-             \n\
-             memoized point-to-point results and counters are runtime\n\
-             state and are never persisted"
-        )
-    }
-}
-
-/// CRC32 fingerprint of a walking graph's connectivity and metric: node
-/// count, edge count, and each edge's endpoints and exact length bits.
-/// Two graphs with equal fingerprints produce identical Dijkstra
-/// results, so oracle tables keyed by it are safe to reuse.
-pub fn graph_fingerprint(graph: &WalkingGraph) -> u32 {
-    let mut w = ByteWriter::new();
-    w.put_u64(graph.nodes().len() as u64);
-    w.put_u64(graph.edges().len() as u64);
-    for e in graph.edges() {
-        w.put_u32(e.a.raw());
-        w.put_u32(e.b.raw());
-        w.put_f64(e.length());
-    }
-    crc32(&w.into_bytes())
 }
 
 /// ALT frontier entry: min-heap on `f`, then `g`, then node id. The tie
@@ -869,7 +653,6 @@ mod tests {
         assert_eq!(a.landmarks().len(), 8);
         let set: BTreeSet<NodeId> = a.landmarks().iter().copied().collect();
         assert_eq!(set.len(), 8, "landmarks must be distinct");
-        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -999,86 +782,5 @@ mod tests {
         let e = g.edge(eid);
         let off = if e.a == n { 0.0 } else { e.length() };
         GraphPos::new(eid, off)
-    }
-
-    #[test]
-    fn plan_path_matches_full_dijkstra_path() {
-        let (plan, g) = office();
-        let oracle = DistanceOracle::build(&g, 4);
-        let from = g.project(plan.rooms()[6].center());
-        for target in [2usize, 11, 28] {
-            let to = g.project(plan.rooms()[target].center());
-            let full = ShortestPaths::from_pos(&g, from)
-                .path_to(&g, to)
-                .expect("reachable");
-            let fast = oracle.plan_path(&g, from, to).expect("reachable");
-            assert_eq!(full.legs(), fast.legs());
-        }
-    }
-
-    #[test]
-    fn save_load_roundtrip_preserves_tables() {
-        let (plan, g) = office();
-        let oracle = DistanceOracle::build(&g, 6);
-        let dir = std::env::temp_dir().join(format!("ripq-oracle-rt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("oracle.ckpt");
-        oracle.save(&path).unwrap();
-        let loaded = DistanceOracle::load(&path, &g).unwrap();
-        assert_eq!(oracle.landmarks, loaded.landmarks);
-        assert_eq!(oracle.tables.len(), loaded.tables.len());
-        for (a, b) in oracle.tables.iter().zip(&loaded.tables) {
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        let from = g.project(plan.rooms()[3].center());
-        let to = g.project(plan.rooms()[20].center());
-        assert_eq!(
-            oracle.distance(&g, from, to).to_bits(),
-            loaded.distance(&g, from, to).to_bits()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_rejects_a_different_graph() {
-        let (_, g) = office();
-        let oracle = DistanceOracle::build(&g, 4);
-        let other_plan = office_building(&OfficeParams {
-            horizontal_hallways: 2,
-            ..OfficeParams::default()
-        })
-        .unwrap();
-        let og = build_walking_graph(&other_plan);
-        let dir = std::env::temp_dir().join(format!("ripq-oracle-fp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("oracle.ckpt");
-        oracle.save(&path).unwrap();
-        match DistanceOracle::load(&path, &og) {
-            Err(OracleError::GraphMismatch { .. }) => {}
-            other => panic!("expected GraphMismatch, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn format_spec_names_the_load_bearing_fields() {
-        let spec = DistanceOracle::format_spec();
-        for needle in ["fingerprint", "landmark", "distance table", "CRC32"] {
-            assert!(spec.contains(needle), "spec missing {needle:?}:\n{spec}");
-        }
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        assert_eq!("alt".parse::<DistanceBackend>(), Ok(DistanceBackend::Alt));
-        assert_eq!(
-            "dijkstra".parse::<DistanceBackend>(),
-            Ok(DistanceBackend::Dijkstra)
-        );
-        assert!("bfs".parse::<DistanceBackend>().is_err());
-        assert_eq!(DistanceBackend::Alt.to_string(), "alt");
-        assert_eq!(DistanceBackend::default(), DistanceBackend::Dijkstra);
     }
 }

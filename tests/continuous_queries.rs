@@ -3,99 +3,25 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use ripq::core::continuous::{
-    ContinuousKnnQuery, ContinuousRangeQuery, SubscriptionKind, SubscriptionRegistry,
-};
+use rand::SeedableRng;
+use ripq::core::continuous::{SubscriptionKind, SubscriptionRegistry};
 use ripq::core::{
-    evaluate_knn, evaluate_range, IndoorQuerySystem, KnnQuery, QueryId, RangeQuery, ResultSet,
-    SystemConfig,
+    evaluate_knn, evaluate_range, IndoorQuerySystem, KnnQuery, ResultSet, SystemConfig,
 };
 use ripq::floorplan::{office_building, OfficeParams};
 use ripq::geom::Rect;
 use ripq::graph::build_walking_graph;
-use ripq::graph::AnchorObjectIndex;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq::rfid::DataCollector;
-use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
+use ripq::sim::{ReadingGenerator, TraceGenerator};
 use std::collections::BTreeMap;
-
-#[test]
-fn continuous_results_match_fresh_evaluation() {
-    let params = ExperimentParams::smoke();
-    let w = SimWorld::build(&params);
-    let mut rng_trace = StdRng::seed_from_u64(21);
-    let mut rng_sense = StdRng::seed_from_u64(22);
-    let mut rng_pf = StdRng::seed_from_u64(23);
-    let traces =
-        TraceGenerator::new(6.0).generate(&mut rng_trace, &w.graph, w.plan.rooms().len(), 25, 150);
-    let gen = ReadingGenerator::new(&w.graph, &w.readers, params.sensing);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig::default(),
-    );
-    let mut collector = DataCollector::new();
-    let cache = ParticleCache::new();
-
-    let room = &w.plan.rooms()[8];
-    let range_query = RangeQuery::new(QueryId::new(0), *room.footprint()).unwrap();
-    let knn_query = KnnQuery::new(
-        QueryId::new(1),
-        w.plan.hallways()[0].footprint().center(),
-        2,
-    )
-    .unwrap();
-    let mut c_range = ContinuousRangeQuery::new(range_query);
-    let mut c_knn = ContinuousKnnQuery::new(knn_query);
-
-    let mut deltas_seen = 0u32;
-    for s in 0..=150u64 {
-        let det = gen.detections_at(&mut rng_sense, &traces, s);
-        collector.ingest_second(s, &det);
-        if s < 40 || s % 25 != 0 {
-            continue;
-        }
-        let mut index = AnchorObjectIndex::new();
-        pre.process(
-            rng_pf.random::<u64>(),
-            &collector,
-            &objects,
-            s,
-            Some(&cache),
-            None,
-            &SupervisionOptions::default(),
-            &mut index,
-        );
-
-        let d1 = c_range.update(&w.plan, &w.anchors, &index);
-        let d2 = c_knn.update(&w.graph, &w.anchors, &index);
-        deltas_seen += u32::from(!d1.is_empty()) + u32::from(!d2.is_empty());
-
-        // The maintained result must equal a from-scratch evaluation.
-        let fresh_range = evaluate_range(&w.plan, &w.anchors, &index, &range_query.window);
-        let fresh_knn = evaluate_knn(&w.graph, &w.anchors, &index, &knn_query);
-        for (o, p) in fresh_range.iter() {
-            assert!((c_range.current().probability(o) - p).abs() < 1e-12);
-        }
-        assert_eq!(c_range.current().len(), fresh_range.len());
-        for (o, p) in fresh_knn.iter() {
-            assert!((c_knn.current().probability(o) - p).abs() < 1e-12);
-        }
-        assert_eq!(c_knn.current().len(), fresh_knn.len());
-    }
-    assert!(deltas_seen > 0, "moving objects must produce deltas");
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Subscription deltas are a faithful change log: folding every
     /// per-epoch [`ResultDelta`] over an initially empty result set
-    /// reconstructs the from-scratch evaluation at every epoch, for
-    /// range and kNN subscriptions across random scenarios and seeds.
+    /// reconstructs the from-scratch evaluation of the epoch's index at
+    /// every epoch, for range and kNN subscriptions across random
+    /// scenarios and seeds; moving objects do produce deltas.
     #[test]
     fn folded_subscription_deltas_equal_from_scratch_evaluation(
         seed in 0u64..10_000,
@@ -143,6 +69,7 @@ proptest! {
         folded.insert(1, ResultSet::new());
         folded.insert(2, ResultSet::new());
         let mut epochs = 0u32;
+        let mut deltas_seen = 0usize;
         for second in 0..=90u64 {
             let det = sensor.detections_at(&mut rng_sense, &traces, second);
             system.ingest_detections(second, &det);
@@ -151,7 +78,9 @@ proptest! {
             }
             epochs += 1;
             let report = system.evaluate(second);
-            for (sub, delta) in registry.deltas(&report) {
+            let deltas = registry.deltas(&report);
+            deltas_seen += deltas.len();
+            for (sub, delta) in deltas {
                 if let Some(rs) = folded.get_mut(&sub) {
                     delta.apply(rs);
                 }
@@ -160,12 +89,18 @@ proptest! {
             // re-emitted, so the fold may lag by at most epsilon per
             // epoch per object.
             let tol = 1e-9 * f64::from(epochs);
-            for (sub, query) in [(1u64, q_range), (2u64, q_knn)] {
-                let fresh = if sub == 1 {
-                    &report.range_results[&query]
-                } else {
-                    &report.knn_results[&query]
-                };
+            // From scratch: the reference evaluators over this epoch's
+            // index, which the report's answers must equal exactly.
+            let fresh_range = evaluate_range(
+                system.plan(), system.anchors(), &report.index, &window,
+            );
+            let knn_query = KnnQuery::new(q_knn, knn_point, k).unwrap();
+            let fresh_knn = evaluate_knn(
+                system.graph(), system.anchors(), &report.index, &knn_query,
+            );
+            prop_assert_eq!(&report.range_results[&q_range], &fresh_range);
+            prop_assert_eq!(&report.knn_results[&q_knn], &fresh_knn);
+            for (sub, fresh) in [(1u64, &fresh_range), (2u64, &fresh_knn)] {
                 let fold = &folded[&sub];
                 prop_assert_eq!(
                     fold.len(), fresh.len(),
@@ -186,5 +121,6 @@ proptest! {
             }
         }
         prop_assert!(epochs >= 4);
+        prop_assert!(deltas_seen > 0, "moving objects must produce deltas");
     }
 }

@@ -1,28 +1,30 @@
-//! Differential suite pinning the landmark/ALT distance oracle against
-//! plain Dijkstra.
+//! Reference suite pinning the landmark/ALT distance oracle — the only
+//! distance engine the system runs — against plain Dijkstra.
 //!
-//! The oracle's contract is *bit-identity*: switching
-//! [`SystemConfig::distance_backend`] to [`DistanceBackend::Alt`] may
-//! change how much of the graph a query settles, but never a single bit
-//! of any distance, probability, or transcript. Three layers enforce it:
+//! The oracle's contract is *bit-identity*: it may settle less of the
+//! graph than a full Dijkstra tree, but never change a single bit of any
+//! distance, probability, or answer. Three layers enforce it:
 //!
 //! 1. raw point-to-point distances, 0 ULP against
 //!    `ShortestPaths::distance_to` over randomized floor plans;
 //! 2. the landmark triangle-inequality lower bounds, admissible for
 //!    every sampled node pair (the A* exactness precondition);
-//! 3. full [`IndoorQuerySystem`] evaluation transcripts — every query
-//!    family, at worker counts 1/2/4 — byte-identical across backends,
-//!    including a replay of the committed Dijkstra golden fixture.
+//! 3. full [`IndoorQuerySystem`] evaluation passes — kNN candidate sets,
+//!    kNN and closest-pairs answers recomputed from each report's index
+//!    by the Dijkstra evaluators, at worker counts 1/2/4 — plus a replay
+//!    of the committed golden fixture.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use ripq::core::{
-    DistanceBackend, EvaluationReport, IndoorQuerySystem, MetricsSnapshot, QueryId, ResultSet,
-    SystemConfig, TimingMode,
+    evaluate_closest_pairs, evaluate_knn, prune_knn_candidates, ClosestPairsQuery,
+    EvaluationReport, IndoorQuerySystem, KnnQuery, QueryId, ResultSet, SystemConfig,
 };
 use ripq::floorplan::{office_building, FloorPlan, FloorPlanBuilder, OfficeParams};
 use ripq::geom::{Point2, Rect};
 use ripq::graph::{DistanceOracle, GraphPos, NodeId, ShortestPaths, WalkingGraph};
+use ripq::rfid::{ObjectId, ReaderId};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -134,8 +136,169 @@ fn landmark_lower_bounds_are_admissible() {
 }
 
 // ---------------------------------------------------------------------
-// Full-system transcripts (fixture harness mirrors tests/golden.rs).
+// Full-system passes against the Dijkstra reference evaluators.
 // ---------------------------------------------------------------------
+
+/// Deterministic per-second detections: six objects hop across the
+/// readers on fixed schedules; object 5 is only seen on even seconds.
+fn hopping_detections(second: u64, readers: &[ReaderId]) -> Vec<(ObjectId, ReaderId)> {
+    let n = readers.len() as u64;
+    (0..6u64)
+        .filter(|&i| i != 5 || second.is_multiple_of(2))
+        .map(|i| {
+            let slot = (second / (i + 2) + 3 * i) % n;
+            (ObjectId::new(i as u32), readers[slot as usize])
+        })
+        .collect()
+}
+
+/// The kNN answer of `report` as exact bits, for byte comparison.
+fn knn_bits(rs: &ResultSet) -> Vec<(u32, u64)> {
+    rs.sorted()
+        .iter()
+        .map(|r| (r.object.raw(), r.probability.to_bits()))
+        .collect()
+}
+
+/// Checks one evaluation pass against the Dijkstra reference: every kNN
+/// answer recomputed from the report's index with [`evaluate_knn`], the
+/// closest-pairs answer with [`evaluate_closest_pairs`], and — while no
+/// global query keeps every object — the preprocessed candidate set as
+/// the union of [`prune_knn_candidates`] over the kNN and PTkNN points.
+/// Returns how many known objects that candidate set pruned.
+fn assert_pass_matches_reference(
+    sys: &IndoorQuerySystem,
+    report: &EvaluationReport,
+    now: u64,
+    knn: &[KnnQuery],
+    ptknn_points: &[(Point2, usize)],
+    pairs: Option<(QueryId, ClosestPairsQuery)>,
+    ctx: &str,
+) -> usize {
+    let (graph, anchors) = (sys.graph(), sys.anchors());
+    for q in knn {
+        let reference = evaluate_knn(graph, anchors, &report.index, q);
+        assert!(!reference.is_empty(), "{ctx}: kNN {:?} answered nothing", q.id);
+        assert_eq!(
+            knn_bits(&report.knn_results[&q.id]),
+            knn_bits(&reference),
+            "{ctx}: kNN {:?} diverged from the Dijkstra reference",
+            q.id
+        );
+    }
+    match pairs {
+        Some((id, q)) => {
+            let reference = evaluate_closest_pairs(graph, anchors, &report.index, &q);
+            let got = &report.closest_pairs_results[&id];
+            assert!(!reference.is_empty(), "{ctx}: no closest pairs");
+            assert_eq!(got.len(), reference.len(), "{ctx}: pair count");
+            for (g, r) in got.iter().zip(&reference) {
+                assert_eq!((g.a, g.b), (r.a, r.b), "{ctx}: pair order");
+                assert_eq!(
+                    g.expected_distance.to_bits(),
+                    r.expected_distance.to_bits(),
+                    "{ctx}: expected distance of {:?}",
+                    (g.a, g.b)
+                );
+                assert_eq!(
+                    g.within_radius.to_bits(),
+                    r.within_radius.to_bits(),
+                    "{ctx}: contact probability of {:?}",
+                    (g.a, g.b)
+                );
+            }
+            0
+        }
+        None => {
+            let max_speed = sys.config().max_speed;
+            let ptknn = ptknn_points
+                .iter()
+                .map(|&(point, k)| KnnQuery::new(QueryId::new(u32::MAX), point, k).unwrap());
+            let mut expected = BTreeSet::new();
+            for q in knn.iter().cloned().chain(ptknn) {
+                expected.extend(prune_knn_candidates(
+                    graph,
+                    sys.collector(),
+                    sys.readers(),
+                    &q,
+                    now,
+                    max_speed,
+                ));
+            }
+            let preprocessed: BTreeSet<ObjectId> = report.index.objects().copied().collect();
+            assert_eq!(preprocessed, expected, "{ctx}: kNN candidate set");
+            assert_eq!(report.candidates_processed, expected.len(), "{ctx}");
+            report.objects_known - expected.len()
+        }
+    }
+}
+
+#[test]
+fn system_answers_match_the_dijkstra_reference_across_plans_and_workers() {
+    for (pi, plan) in plan_variants().into_iter().enumerate() {
+        for workers in [None, Some(2), Some(4)] {
+            let config = SystemConfig {
+                prune_candidates: true,
+                parallelism: workers,
+                ..SystemConfig::default()
+            };
+            let mut sys = IndoorQuerySystem::new(plan.clone(), config, SEED);
+            let readers: Vec<ReaderId> = sys.readers().iter().map(|r| r.id()).collect();
+            let points = [
+                (sys.readers()[0].position(), 2),
+                (sys.readers()[readers.len() / 2].position(), 1),
+                (sys.plan().bounds().center(), 3),
+            ];
+            let knn: Vec<KnnQuery> = points
+                .iter()
+                .map(|&(point, k)| {
+                    let id = sys.register_knn(point, k).expect("kNN query");
+                    KnnQuery::new(id, point, k).expect("valid kNN query")
+                })
+                .collect();
+            let ptknn_points = [(sys.readers()[readers.len() - 1].position(), 1)];
+            for &(point, k) in &ptknn_points {
+                sys.register_ptknn(point, k, 0.3).expect("PTkNN query");
+            }
+
+            let mut pairs = None;
+            let mut passes = 0;
+            let mut pruned = 0;
+            for s in 0..=60u64 {
+                sys.ingest_detections(s, &hopping_detections(s, &readers));
+                if s < 12 || !s.is_multiple_of(8) {
+                    continue;
+                }
+                // The last passes add a global closest-pairs query, which
+                // keeps every object as a candidate.
+                if s == 48 {
+                    let q = ClosestPairsQuery {
+                        m: 3,
+                        contact_radius: 4.0,
+                    };
+                    let id = sys
+                        .register_closest_pairs(q.m, q.contact_radius)
+                        .expect("closest-pairs query");
+                    pairs = Some((id, q));
+                }
+                let report = sys.evaluate(s);
+                let ctx = format!("plan {pi}, workers {workers:?}, t={s}");
+                pruned += assert_pass_matches_reference(
+                    &sys,
+                    &report,
+                    s,
+                    &knn,
+                    &ptknn_points,
+                    pairs,
+                    &ctx,
+                );
+                passes += 1;
+            }
+            assert_eq!(passes, 6, "plan {pi}: every scheduled pass ran");
+            assert!(pruned > 0, "plan {pi}: pruning never dropped an object");
+        }
+    }
+}
 
 /// Parses the `hallway` / `room` / `door` line format of
 /// `tests/fixtures/mini_plan.txt`.
@@ -173,13 +336,11 @@ struct FixtureRun {
     report: EvaluationReport,
     range_q: QueryId,
     knn_q: QueryId,
-    ptknn_q: QueryId,
-    pairs_q: QueryId,
     now: u64,
 }
 
 /// Feeds `mini_trace.txt` into a system under `config` and evaluates one
-/// query of every family.
+/// range and one kNN query.
 fn run_fixture(config: SystemConfig) -> FixtureRun {
     let mut sys = IndoorQuerySystem::new(load_plan(), config, SEED);
     let readers: Vec<_> = sys.readers().iter().map(|r| r.id()).collect();
@@ -215,18 +376,10 @@ fn run_fixture(config: SystemConfig) -> FixtureRun {
     let knn_q = sys
         .register_knn(Point2::new(12.0, 9.0), 2)
         .expect("kNN query");
-    let ptknn_q = sys
-        .register_ptknn(Point2::new(12.0, 9.0), 2, 0.2)
-        .expect("PTkNN query");
-    let pairs_q = sys
-        .register_closest_pairs(2, 4.0)
-        .expect("closest-pairs query");
     FixtureRun {
         report: sys.evaluate(now),
         range_q,
         knn_q,
-        ptknn_q,
-        pairs_q,
         now,
     }
 }
@@ -246,81 +399,14 @@ fn render(out: &mut String, kind: &str, rs: &ResultSet) {
     }
 }
 
-/// Metrics minus the backend-local effort counters: `oracle.*` gauges
-/// exist only under ALT, and `spcache.*` legitimately differs because
-/// the oracle path never touches the Dijkstra tree cache. Everything
-/// else — collector, pf, index deltas, optimizer, spans — must match.
-fn strip_backend_local(mut snap: MetricsSnapshot) -> MetricsSnapshot {
-    let local = |k: &str| k.starts_with("oracle.") || k.starts_with("spcache.");
-    snap.counters.retain(|k, _| !local(k));
-    snap.gauges.retain(|k, _| !local(k));
-    snap
-}
-
-/// The full comparable transcript of one fixture evaluation.
-fn transcript(backend: DistanceBackend, parallelism: Option<usize>) -> String {
-    let run = run_fixture(SystemConfig {
-        reader_count: 6,
-        // Pruning ON: the kNN `sᵢ/lᵢ` filter is the oracle's
-        // point-to-point hot path and must agree bit-for-bit too.
-        prune_candidates: true,
-        observability: true,
-        timing: TimingMode::Logical,
-        distance_backend: backend,
-        parallelism,
-        ..SystemConfig::default()
-    });
-    let mut out = String::new();
-    let report = &run.report;
-    writeln!(out, "candidates_processed {}", report.candidates_processed).unwrap();
-    writeln!(out, "objects_known {}", report.objects_known).unwrap();
-    render(&mut out, "range", &report.range_results[&run.range_q]);
-    render(&mut out, "knn", &report.knn_results[&run.knn_q]);
-    render(&mut out, "ptknn", &report.ptknn_results[&run.ptknn_q]);
-    for p in &report.closest_pairs_results[&run.pairs_q] {
-        writeln!(
-            out,
-            "pair {} {} {:016x} {:016x}",
-            p.a.raw(),
-            p.b.raw(),
-            p.expected_distance.to_bits(),
-            p.within_radius.to_bits()
-        )
-        .unwrap();
-    }
-    for (o, level) in &report.object_degradation {
-        writeln!(out, "degraded {} {level:?}", o.raw()).unwrap();
-    }
-    let metrics = report.metrics.clone().expect("observability on");
-    out.push_str(&strip_backend_local(metrics).to_json());
-    out
-}
-
-#[test]
-fn evaluation_transcripts_are_identical_across_backends_and_workers() {
-    let golden = transcript(DistanceBackend::Dijkstra, None);
-    assert!(golden.contains("range "), "fixture produced range answers");
-    assert!(golden.contains("knn "), "fixture produced kNN answers");
-    for workers in [None, Some(2), Some(4)] {
-        let alt = transcript(DistanceBackend::Alt, workers);
-        assert_eq!(
-            golden, alt,
-            "ALT transcript diverged at parallelism {workers:?}"
-        );
-    }
-    // Worker count is also transcript-neutral under the classic backend.
-    assert_eq!(golden, transcript(DistanceBackend::Dijkstra, Some(4)));
-}
-
-/// The committed Dijkstra golden fixture replayed under ALT: the oracle
-/// must reproduce the pinned Algorithm 3/4 outputs byte for byte, not
-/// merely agree with a same-process Dijkstra run.
+/// The committed golden fixture, first pinned from the full-Dijkstra
+/// pipeline: the oracle must reproduce its Algorithm 3/4 outputs byte for
+/// byte, not merely agree with a same-process Dijkstra run.
 #[test]
 fn alt_backend_reproduces_the_committed_golden_fixture() {
     let run = run_fixture(SystemConfig {
         reader_count: 6,
         prune_candidates: false,
-        distance_backend: DistanceBackend::Alt,
         ..SystemConfig::default()
     });
     let now = run.now;
@@ -349,64 +435,6 @@ fn alt_backend_reproduces_the_committed_golden_fixture() {
         .expect("golden fixture exists");
     assert_eq!(
         expected, actual,
-        "ALT failed to reproduce the committed Dijkstra golden transcript"
+        "ALT failed to reproduce the committed golden transcript"
     );
-}
-
-#[test]
-fn oracle_checkpoint_round_trips_through_system_recovery() {
-    let dir = std::env::temp_dir().join("ripq_oracle_sys_ckpt");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let config = SystemConfig {
-        reader_count: 6,
-        distance_backend: DistanceBackend::Alt,
-        ..SystemConfig::default()
-    };
-    let mut sys = IndoorQuerySystem::new(load_plan(), config, SEED);
-    let reader = sys.readers()[0].id();
-    for s in 0..5 {
-        sys.ingest_detections(s, &[(ripq::rfid::ObjectId::new(0), reader)]);
-    }
-    let q = sys.register_knn(Point2::new(12.0, 9.0), 1).expect("knn");
-    // Checkpoint *before* evaluating, so both lives draw the same master
-    // RNG pass seed when they evaluate. Under ALT, checkpoint_now forces
-    // the lazy oracle build and writes oracle.ckpt alongside system.ckpt.
-    sys.set_checkpoint_dir(&dir);
-    sys.checkpoint_now().expect("checkpoint");
-    assert!(
-        dir.join("oracle.ckpt").exists(),
-        "ALT checkpoint writes the oracle snapshot"
-    );
-    let fingerprint = sys
-        .distance_oracle()
-        .expect("oracle built by checkpoint")
-        .fingerprint();
-    let first = sys.evaluate(5);
-
-    // A fresh system recovers the oracle from disk instead of rebuilding:
-    // it is present immediately after recover, before any evaluation.
-    let mut recovered = IndoorQuerySystem::new(load_plan(), config, SEED);
-    recovered.recover(&dir).expect("recovery succeeds");
-    let restored = recovered
-        .distance_oracle()
-        .expect("oracle restored from oracle.ckpt");
-    assert_eq!(restored.fingerprint(), fingerprint);
-    let q2 = recovered
-        .register_knn(Point2::new(12.0, 9.0), 1)
-        .expect("knn");
-    let replayed = recovered.evaluate(5);
-    let bits = |rs: &ResultSet| -> Vec<(u32, u64)> {
-        rs.sorted()
-            .iter()
-            .map(|r| (r.object.raw(), r.probability.to_bits()))
-            .collect()
-    };
-    assert_eq!(
-        bits(&first.knn_results[&q]),
-        bits(&replayed.knn_results[&q2]),
-        "recovered oracle must answer identically"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
