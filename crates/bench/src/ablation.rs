@@ -259,20 +259,17 @@ pub fn fault_severity(scale: Scale) -> Vec<FigureRow> {
     .collect()
 }
 
-/// Wall-clock effect of the particle cache (§4.5): total experiment time
-/// with the cache on vs. off. Returns `(with_cache, without_cache)`
-/// durations; accuracy differences between the two runs are expected to be
+/// Wall-clock effect of the particle cache (§4.5): total evaluation time
+/// of the same reading stream through an [`IndoorQuerySystem`] with the
+/// cache on vs. off. Returns `(with_cache, without_cache)` durations;
+/// accuracy differences between the two runs are expected to be
 /// statistical noise only.
 pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
-    // The Experiment always uses the cache internally; emulate "off" by
-    // clearing reuse through disjoint seeds per timestamp — instead we
-    // time the underlying preprocessing directly.
     use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
-    use ripq_graph::AnchorObjectIndex;
-    use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-    use ripq_rfid::DataCollector;
-    use ripq_sim::{ReadingGenerator, SimWorld, TraceGenerator};
+    use rand::SeedableRng;
+    use ripq_core::{IndoorQuerySystem, SystemConfig};
+    use ripq_pf::PreprocessorConfig;
+    use ripq_sim::{ReadingGenerator, TraceGenerator};
 
     let p = scale.base_params();
     let w = SimWorld::build(&p);
@@ -286,41 +283,33 @@ pub fn cache(scale: Scale) -> (std::time::Duration, std::time::Duration) {
         p.duration,
     );
     let gen = ReadingGenerator::new(&w.graph, &w.readers, p.sensing);
-    let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
     let detections = gen.detections_all(&mut rng_sense, &traces, p.duration);
-    let pre = ParticlePreprocessor::new(
-        &w.graph,
-        &w.anchors,
-        &w.readers,
-        PreprocessorConfig {
-            num_particles: p.num_particles,
-            ..Default::default()
-        },
-    );
     let timestamps = p.timestamps();
 
-    let opts = SupervisionOptions::default();
     let run = |use_cache: bool| {
-        let mut collector = DataCollector::new();
-        let cache = ParticleCache::new();
-        let mut rng = StdRng::seed_from_u64(p.seed + 3);
+        let config = SystemConfig {
+            preprocess: PreprocessorConfig {
+                num_particles: p.num_particles,
+                ..Default::default()
+            },
+            use_cache,
+            // Every object is filtered at every timestamp.
+            prune_candidates: false,
+            ..SystemConfig::default()
+        };
+        let mut system = IndoorQuerySystem::from_parts(
+            w.plan.clone(),
+            w.graph.clone(),
+            w.anchors.clone(),
+            w.readers.clone(),
+            config,
+            p.seed + 3,
+        );
         let t0 = Instant::now();
-        let mut ti = 0;
         for second in 0..=p.duration {
-            collector.ingest_second(second, &detections[second as usize]);
-            while ti < timestamps.len() && timestamps[ti] == second {
-                ti += 1;
-                let mut index = AnchorObjectIndex::new();
-                pre.process(
-                    rng.random::<u64>(),
-                    &collector,
-                    &objects,
-                    second,
-                    use_cache.then_some(&cache),
-                    None,
-                    &opts,
-                    &mut index,
-                );
+            system.ingest_detections(second, &detections[second as usize]);
+            if timestamps.contains(&second) {
+                system.evaluate(second);
             }
         }
         t0.elapsed()

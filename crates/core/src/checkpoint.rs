@@ -53,7 +53,7 @@ pub(crate) fn persist_io(err: &PersistError) -> RipqError {
 /// Appends a [`MetricsSnapshot`] to `w` in the canonical encoding. All
 /// four families are `BTreeMap`s, so iteration (and therefore the byte
 /// stream) is name-ordered and canonical.
-pub fn encode_metrics(w: &mut ByteWriter, snap: &MetricsSnapshot) {
+pub(crate) fn encode_metrics(w: &mut ByteWriter, snap: &MetricsSnapshot) {
     w.put_seq_len(snap.counters.len());
     for (name, value) in &snap.counters {
         w.put_str(name);
@@ -87,7 +87,7 @@ pub fn encode_metrics(w: &mut ByteWriter, snap: &MetricsSnapshot) {
 
 /// Decodes a [`MetricsSnapshot`] written by [`encode_metrics`]. Any
 /// truncation is [`PersistError::Torn`], never a panic.
-pub fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, PersistError> {
+pub(crate) fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsSnapshot, PersistError> {
     let mut snap = MetricsSnapshot::default();
     let n = r.get_seq_len(12)?;
     for _ in 0..n {

@@ -1,16 +1,17 @@
 //! Crash-safe checkpointing of a running [`crate::Experiment`].
 //!
-//! A simulation checkpoint freezes everything the per-second loop of
-//! `Experiment::run` mutates — the collector timelines, the shared
-//! particle cache, the three in-loop RNG streams, the accuracy
-//! accumulators, the fault injector's jitter buffer and the cumulative
-//! metrics — into one `experiment.ckpt` frame written atomically through
-//! `ripq-persist`. Everything *else* (true traces, reader deployment,
-//! kNN query points, the outage schedule) is a pure function of
-//! [`ExperimentParams`] and is regenerated on resume; a CRC32
-//! fingerprint of the result-relevant parameters is embedded in the
-//! payload so a snapshot can never be resumed into a different
-//! experiment.
+//! An experiment drives one [`ripq_core::IndoorQuerySystem`], whose own
+//! `system.ckpt` carries the pipeline state — collector, particle cache,
+//! the particle filter's RNG stream and the cumulative metrics. This
+//! module writes the driver's sidecar next to it, `experiment.ckpt`,
+//! holding only what the per-second loop of `Experiment::run` owns: the
+//! next second and timestamp, the sensing and query RNG streams, the
+//! accuracy accumulators and the fault injector's jitter buffer.
+//! Everything *else* (true traces, reader deployment, kNN query points,
+//! the outage schedule) is a pure function of [`ExperimentParams`] and is
+//! regenerated on resume; a CRC32 fingerprint of the result-relevant
+//! parameters is embedded in the payload so a snapshot can never be
+//! resumed into a different experiment.
 //!
 //! Damaged files — torn, bit-flipped, wrong format version, or written
 //! by a different parameter set — are quarantined to
@@ -18,25 +19,22 @@
 //! bit-for-bit identical to an uninterrupted one.
 
 use crate::{ExperimentParams, TaggedReading};
-use ripq_core::checkpoint::{decode_metrics, encode_metrics};
-use ripq_obs::{MetricsSnapshot, Recorder};
+use ripq_obs::Recorder;
 use ripq_persist::{
     crc32, load_snapshot, quarantine, seal_snapshot, write_atomic, ByteReader, ByteWriter,
     PersistError,
 };
-use ripq_pf::ParticleCache;
-use ripq_rfid::{DataCollector, DeploymentStrategy, ObjectId, ReaderId};
+use ripq_rfid::{DeploymentStrategy, ObjectId, ReaderId};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use ripq_core::RecoveryOutcome;
 
-/// File name of the experiment snapshot inside the checkpoint directory.
-/// Distinct from the core facade's `system.ckpt`, so a directory can host
-/// both without collision.
+/// File name of the experiment sidecar inside the checkpoint directory.
+/// Distinct from the core facade's `system.ckpt`, which sits beside it.
 pub const SNAPSHOT_FILE: &str = "experiment.ckpt";
 
-/// Full path of the experiment snapshot for a checkpoint directory.
+/// Full path of the experiment sidecar for a checkpoint directory.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
@@ -45,38 +43,20 @@ pub fn snapshot_path(dir: &Path) -> PathBuf {
 /// carries (KL ×2, hit rate ×2, top-k ×2, mean error ×2).
 pub(crate) const MEAN_SLOTS: usize = 8;
 
-/// Everything the per-second loop mutates, decoded back into owned form.
-pub(crate) struct SimCheckpoint {
-    /// First second the resumed loop must process.
+/// The driver state the per-second loop owns.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DriverState {
+    /// First second the resumed loop must process; pairs with the
+    /// `replay_from` of the `system.ckpt` written beside it.
     pub next_second: u64,
     /// Index into the evaluation-timestamp list.
     pub next_ts: u64,
-    pub collector: DataCollector,
-    pub cache: ParticleCache,
     pub rng_sense: [u64; 4],
-    pub rng_pf: [u64; 4],
     pub rng_query: [u64; 4],
     pub means: [(f64, u64); MEAN_SLOTS],
     /// The fault injector's in-flight jitter buffer (empty when the run
     /// has no active fault plan).
     pub pending: BTreeMap<u64, Vec<TaggedReading>>,
-    pub metrics: MetricsSnapshot,
-}
-
-/// Borrowed view of the loop state for encoding, so taking a checkpoint
-/// never clones the collector or cache.
-pub(crate) struct CheckpointView<'a> {
-    pub fingerprint: u32,
-    pub next_second: u64,
-    pub next_ts: u64,
-    pub collector: &'a DataCollector,
-    pub cache: &'a ParticleCache,
-    pub rng_sense: [u64; 4],
-    pub rng_pf: [u64; 4],
-    pub rng_query: [u64; 4],
-    pub means: [(f64, u64); MEAN_SLOTS],
-    pub pending: Option<&'a BTreeMap<u64, Vec<TaggedReading>>>,
-    pub metrics: &'a MetricsSnapshot,
 }
 
 /// CRC32 fingerprint over the canonical encoding of every parameter that
@@ -128,45 +108,32 @@ pub(crate) fn params_fingerprint(p: &ExperimentParams) -> u32 {
     crc32(&w.into_bytes())
 }
 
-fn encode(view: &CheckpointView<'_>) -> Vec<u8> {
+fn encode(fingerprint: u32, state: &DriverState) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(view.fingerprint);
-    w.put_u64(view.next_second);
-    w.put_u64(view.next_ts);
-    view.collector.encode_state(&mut w);
-    view.cache.encode_state(&mut w);
-    for word in view
-        .rng_sense
-        .iter()
-        .chain(&view.rng_pf)
-        .chain(&view.rng_query)
-    {
+    w.put_u32(fingerprint);
+    w.put_u64(state.next_second);
+    w.put_u64(state.next_ts);
+    for word in state.rng_sense.iter().chain(&state.rng_query) {
         w.put_u64(*word);
     }
-    for (sum, n) in view.means {
+    for (sum, n) in state.means {
         w.put_f64(sum);
         w.put_u64(n);
     }
-    match view.pending {
-        None => w.put_seq_len(0),
-        Some(pending) => {
-            w.put_seq_len(pending.len());
-            for (&delivery, bucket) in pending {
-                w.put_u64(delivery);
-                w.put_seq_len(bucket.len());
-                for &(logical, object, reader) in bucket {
-                    w.put_u64(logical);
-                    w.put_u32(object.raw());
-                    w.put_u32(reader.raw());
-                }
-            }
+    w.put_seq_len(state.pending.len());
+    for (&delivery, bucket) in &state.pending {
+        w.put_u64(delivery);
+        w.put_seq_len(bucket.len());
+        for &(logical, object, reader) in bucket {
+            w.put_u64(logical);
+            w.put_u32(object.raw());
+            w.put_u32(reader.raw());
         }
     }
-    encode_metrics(&mut w, view.metrics);
     w.into_bytes()
 }
 
-fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, PersistError> {
+fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<DriverState, PersistError> {
     let mut r = ByteReader::new(payload);
     let fingerprint = r.get_u32()?;
     if fingerprint != expected_fingerprint {
@@ -179,9 +146,7 @@ fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, Pe
     }
     let next_second = r.get_u64()?;
     let next_ts = r.get_u64()?;
-    let collector = DataCollector::decode_state(&mut r)?;
-    let cache = ParticleCache::decode_state(&mut r)?;
-    let mut words = [0u64; 12];
+    let mut words = [0u64; 8];
     for word in &mut words {
         *word = r.get_u64()?;
     }
@@ -203,66 +168,38 @@ fn decode(payload: &[u8], expected_fingerprint: u32) -> Result<SimCheckpoint, Pe
         }
         pending.insert(delivery, bucket);
     }
-    let metrics = decode_metrics(&mut r)?;
     if r.remaining() != 0 {
         return Err(PersistError::Torn);
     }
-    Ok(SimCheckpoint {
+    Ok(DriverState {
         next_second,
         next_ts,
-        collector,
-        cache,
         rng_sense: words[0..4].try_into().expect("slice of 4"),
-        rng_pf: words[4..8].try_into().expect("slice of 4"),
-        rng_query: words[8..12].try_into().expect("slice of 4"),
+        rng_query: words[4..8].try_into().expect("slice of 4"),
         means,
         pending,
-        metrics,
     })
 }
 
-/// Atomically writes one sealed checkpoint frame to `path`.
-pub(crate) fn save(path: &Path, view: &CheckpointView<'_>) -> Result<(), PersistError> {
+/// Atomically writes one sealed sidecar frame to `path`.
+pub(crate) fn save(path: &Path, fingerprint: u32, state: &DriverState) -> Result<(), PersistError> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).map_err(|e| PersistError::Io(e.to_string()))?;
     }
-    write_atomic(path, &seal_snapshot(&encode(view)))
+    write_atomic(path, &seal_snapshot(&encode(fingerprint, state)))
 }
 
-/// Loads the snapshot at `path`, quarantining anything unusable.
-///
-/// Returns the outcome plus the decoded state on a successful resume.
-/// Counters: `recovery.cold_start`, `recovery.resumed` or
-/// `recovery.quarantined` tick accordingly (they are *not* part of any
-/// golden — harnesses strip the `recovery.*` prefix before comparing).
-pub(crate) fn load_or_quarantine(
-    path: &Path,
-    expected_fingerprint: u32,
-    recorder: &Recorder,
-) -> (RecoveryOutcome, Option<SimCheckpoint>) {
-    let payload = match load_snapshot(path) {
-        Ok(p) => p,
-        Err(PersistError::Missing) => {
-            recorder.add("recovery.cold_start", 1);
-            return (RecoveryOutcome::ColdStart, None);
-        }
-        Err(_damaged) => return (quarantine_damaged(path, recorder), None),
-    };
-    match decode(&payload, expected_fingerprint) {
-        Ok(ck) => {
-            recorder.add("recovery.resumed", 1);
-            (
-                RecoveryOutcome::Resumed {
-                    replay_from: ck.next_second,
-                },
-                Some(ck),
-            )
-        }
-        Err(_damaged) => (quarantine_damaged(path, recorder), None),
-    }
+/// Loads the sidecar at `path`. A file from another parameter set is
+/// [`PersistError::StaleVersion`]; the caller quarantines every error
+/// but [`PersistError::Missing`].
+pub(crate) fn load(path: &Path, expected_fingerprint: u32) -> Result<DriverState, PersistError> {
+    decode(&load_snapshot(path)?, expected_fingerprint)
 }
 
-fn quarantine_damaged(path: &Path, recorder: &Recorder) -> RecoveryOutcome {
+/// Moves an unusable sidecar aside, counting `recovery.quarantined`
+/// (like every `recovery.*` counter, *not* part of any golden —
+/// harnesses strip the prefix before comparing).
+pub(crate) fn quarantine_damaged(path: &Path, recorder: &Recorder) -> RecoveryOutcome {
     recorder.add("recovery.quarantined", 1);
     match quarantine(path) {
         Ok(moved) => RecoveryOutcome::Quarantined { path: moved },
@@ -280,20 +217,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn view_fixture<'a>(
-        collector: &'a DataCollector,
-        cache: &'a ParticleCache,
-        pending: &'a BTreeMap<u64, Vec<TaggedReading>>,
-        metrics: &'a MetricsSnapshot,
-    ) -> CheckpointView<'a> {
-        CheckpointView {
-            fingerprint: 0xABCD_1234,
+    const FINGERPRINT: u32 = 0xABCD_1234;
+
+    fn fixture() -> DriverState {
+        let mut pending = BTreeMap::new();
+        pending.insert(
+            7,
+            vec![
+                (5, ObjectId::new(1), ReaderId::new(2)),
+                (6, ObjectId::new(3), ReaderId::new(0)),
+            ],
+        );
+        DriverState {
             next_second: 42,
             next_ts: 3,
-            collector,
-            cache,
             rng_sense: StdRng::seed_from_u64(1).state(),
-            rng_pf: StdRng::seed_from_u64(2).state(),
             rng_query: StdRng::seed_from_u64(3).state(),
             means: [
                 (1.5, 2),
@@ -305,80 +243,32 @@ mod tests {
                 (9.0, 2),
                 (11.0, 2),
             ],
-            pending: Some(pending),
-            metrics,
+            pending,
         }
-    }
-
-    fn fixture_state() -> (
-        DataCollector,
-        ParticleCache,
-        BTreeMap<u64, Vec<TaggedReading>>,
-        MetricsSnapshot,
-    ) {
-        let mut collector = DataCollector::new();
-        collector.ingest_second(
-            5,
-            &[
-                (ObjectId::new(1), ReaderId::new(2)),
-                (ObjectId::new(3), ReaderId::new(0)),
-            ],
-        );
-        let cache = ParticleCache::new();
-        let mut pending = BTreeMap::new();
-        pending.insert(
-            7,
-            vec![
-                (5, ObjectId::new(1), ReaderId::new(2)),
-                (6, ObjectId::new(3), ReaderId::new(0)),
-            ],
-        );
-        let recorder = Recorder::enabled();
-        recorder.add("sim.timestamps_evaluated", 4);
-        (collector, cache, pending, recorder.snapshot())
     }
 
     #[test]
     fn checkpoint_codec_round_trips() {
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        let bytes = encode(&view);
-        let ck = decode(&bytes, view.fingerprint).unwrap();
-        assert_eq!(ck.next_second, 42);
-        assert_eq!(ck.next_ts, 3);
-        assert_eq!(ck.rng_sense, view.rng_sense);
-        assert_eq!(ck.rng_pf, view.rng_pf);
-        assert_eq!(ck.rng_query, view.rng_query);
-        assert_eq!(ck.means, view.means);
-        assert_eq!(ck.pending, pending);
-        assert_eq!(ck.metrics, metrics);
-        // Collector round-trip: re-encoding reproduces identical bytes.
-        let mut w1 = ByteWriter::new();
-        collector.encode_state(&mut w1);
-        let mut w2 = ByteWriter::new();
-        ck.collector.encode_state(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
+        let state = fixture();
+        let bytes = encode(FINGERPRINT, &state);
+        assert_eq!(decode(&bytes, FINGERPRINT).unwrap(), state);
     }
 
     #[test]
     fn fingerprint_mismatch_is_stale_not_a_resume() {
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        let bytes = encode(&view);
+        let bytes = encode(FINGERPRINT, &fixture());
         assert!(matches!(
-            decode(&bytes, view.fingerprint ^ 1),
+            decode(&bytes, FINGERPRINT ^ 1),
             Err(PersistError::StaleVersion { .. })
         ));
     }
 
     #[test]
     fn truncation_anywhere_is_torn_never_a_panic() {
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        let bytes = encode(&view);
+        let bytes = encode(FINGERPRINT, &fixture());
         for cut in 0..bytes.len() {
             assert!(
-                decode(&bytes[..cut], view.fingerprint).is_err(),
+                decode(&bytes[..cut], FINGERPRINT).is_err(),
                 "cut at {cut} decoded successfully"
             );
         }
@@ -421,17 +311,12 @@ mod tests {
         let dir = std::env::temp_dir().join("ripq_sim_ckpt_roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let path = snapshot_path(&dir);
-        let (collector, cache, pending, metrics) = fixture_state();
-        let view = view_fixture(&collector, &cache, &pending, &metrics);
-        save(&path, &view).unwrap();
-        let recorder = Recorder::enabled();
-        let (outcome, ck) = load_or_quarantine(&path, view.fingerprint, &recorder);
-        assert_eq!(outcome, RecoveryOutcome::Resumed { replay_from: 42 });
-        assert_eq!(ck.unwrap().pending, pending);
-        assert_eq!(
-            recorder.snapshot().counters.get("recovery.resumed"),
-            Some(&1)
-        );
+        assert!(matches!(
+            load(&path, FINGERPRINT),
+            Err(PersistError::Missing)
+        ));
+        save(&path, FINGERPRINT, &fixture()).unwrap();
+        assert_eq!(load(&path, FINGERPRINT).unwrap(), fixture());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -443,10 +328,9 @@ mod tests {
         let path = snapshot_path(&dir);
         // ripq-lint: allow(atomic-persistence) -- test deliberately writes a torn non-atomic file
         std::fs::write(&path, b"RIPQSNAPgarbage").unwrap();
+        assert!(load(&path, 0).is_err());
         let recorder = Recorder::enabled();
-        let (outcome, ck) = load_or_quarantine(&path, 0, &recorder);
-        assert!(ck.is_none());
-        match outcome {
+        match quarantine_damaged(&path, &recorder) {
             RecoveryOutcome::Quarantined { path: moved } => {
                 assert!(moved.to_string_lossy().ends_with(".corrupt"));
                 assert!(moved.exists());

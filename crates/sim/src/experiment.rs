@@ -8,22 +8,22 @@
 //! generated range and kNN queries.
 
 use crate::{
-    checkpoint,
+    checkpoint::{self, DriverState},
     metrics::{self, Mean},
     ExperimentParams, FaultInjector, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use ripq_core::{
-    evaluate_knn_with_oracle, evaluate_range, record_oracle_effort, DistanceOracle, KnnQuery,
-    QueryId, RecoveryOutcome,
+    evaluate_knn_with_oracle, evaluate_range, record_oracle_effort, DegradationLevel,
+    DistanceOracle, IndoorQuerySystem, KnnQuery, QueryId, RecoveryOutcome, SystemConfig,
 };
 use ripq_geom::{Point2, Rect};
-use ripq_graph::AnchorObjectIndex;
-use ripq_obs::{MetricsSnapshot, Recorder};
-use ripq_pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq_rfid::{DataCollector, ObjectId};
-use std::path::PathBuf;
+use ripq_obs::MetricsSnapshot;
+use ripq_persist::PersistError;
+use ripq_pf::PreprocessorConfig;
+use ripq_rfid::ObjectId;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Averaged accuracy results of one experiment — one point on each curve
@@ -106,8 +106,9 @@ impl AccuracyAccumulator {
 pub struct Experiment {
     params: ExperimentParams,
     world: SimWorld,
-    /// Directory holding the crash-recovery snapshot (`experiment.ckpt`);
-    /// `None` disables both checkpointing and resume.
+    /// Directory holding the crash-recovery snapshots (`system.ckpt` and
+    /// the `experiment.ckpt` sidecar); `None` disables both checkpointing
+    /// and resume.
     checkpoint_dir: Option<PathBuf>,
     /// Simulated-crash knob: abandon the run at the top of this second,
     /// before any checkpoint due there is written. For recovery tests.
@@ -135,9 +136,10 @@ impl Experiment {
         }
     }
 
-    /// Enables crash recovery: `run` first tries to resume from
-    /// `dir/experiment.ckpt` (quarantining a damaged or mismatched file),
-    /// then writes a fresh snapshot there every
+    /// Enables crash recovery: `run` first tries to resume from the
+    /// pipeline's `dir/system.ckpt` paired with the driver's
+    /// `dir/experiment.ckpt` (quarantining a damaged, mismatched or
+    /// unpaired sidecar), then writes both afresh every
     /// [`ExperimentParams::checkpoint_every`] simulated seconds.
     pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.checkpoint_dir = Some(dir.into());
@@ -214,7 +216,7 @@ impl Experiment {
 
     /// Runs the experiment and returns the averaged accuracy metrics.
     pub fn run(&self) -> AccuracyReport {
-        self.run_inner(&Recorder::disabled())
+        self.run_inner(false).0
     }
 
     /// Runs the experiment with pipeline observability controlled by
@@ -223,36 +225,117 @@ impl Experiment {
     /// off).
     ///
     /// The snapshot covers every instrumented stage the run exercises —
-    /// collector ingestion, particle-filter preprocessing, plus the
-    /// harness's own `sim.*` counters — and is deterministic: same
-    /// params, same snapshot, regardless of `parallelism`.
+    /// collector ingestion, particle-filter preprocessing, the facade's
+    /// evaluation passes, plus the harness's own `sim.*` counters — and
+    /// is deterministic: same params, same snapshot, regardless of
+    /// `parallelism`.
     pub fn run_with_metrics(&self) -> (AccuracyReport, Option<MetricsSnapshot>) {
-        let recorder = Recorder::from_flag(self.params.observability);
-        let report = self.run_inner(&recorder);
-        let snapshot = recorder.is_enabled().then(|| recorder.snapshot());
-        (report, snapshot)
+        self.run_inner(self.params.observability)
     }
 
-    fn run_inner(&self, recorder: &Recorder) -> AccuracyReport {
+    /// The particle-filter pipeline of one run: an [`IndoorQuerySystem`]
+    /// over clones of the world's parts. Pruning is off (every object the
+    /// collector knows is filtered each timestamp, as the accuracy
+    /// metrics need), and the master RNG is seeded so that its per-pass
+    /// draws are the experiment's PF stream.
+    fn system(&self, observe: bool) -> IndoorQuerySystem {
+        let p = &self.params;
+        let w = &self.world;
+        let config = SystemConfig {
+            preprocess: PreprocessorConfig {
+                num_particles: p.num_particles,
+                negative_evidence: p.negative_evidence,
+                resample_threshold: p.resample_threshold,
+                coast_seconds: p.coast_seconds,
+                kde_bandwidth: p.kde_bandwidth,
+                adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
+                motion: ripq_pf::MotionModel {
+                    room_enter_probability: p.room_enter_probability,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            prune_candidates: false,
+            parallelism: p.parallelism,
+            // Readings pass through the fault injector's jitter only when
+            // its plan is active; an inactive plan takes the exact
+            // in-order path.
+            reorder_window: if p.faults.is_active() {
+                p.faults.max_delay_seconds
+            } else {
+                0
+            },
+            observability: observe,
+            query_budget: p.query_budget,
+            ..SystemConfig::default()
+        };
+        IndoorQuerySystem::from_parts(
+            w.plan.clone(),
+            w.graph.clone(),
+            w.anchors.clone(),
+            w.readers.clone(),
+            config,
+            p.seed.wrapping_add(3),
+        )
+    }
+
+    /// Pairs the driver sidecar in `dir` with the facade's `system.ckpt`.
+    /// The sidecar is decoded first; the run resumes only when its next
+    /// second is exactly the system's replay point. Any other pair —
+    /// either file damaged or missing, or the two from different
+    /// checkpoints — is damage: the sidecar is quarantined and the run
+    /// cold-starts on a fresh system.
+    fn recover(
+        &self,
+        system: &mut IndoorQuerySystem,
+        dir: &Path,
+        observe: bool,
+    ) -> (RecoveryOutcome, Option<DriverState>) {
+        let path = checkpoint::snapshot_path(dir);
+        let driver = match checkpoint::load(&path, checkpoint::params_fingerprint(&self.params)) {
+            Ok(driver) => driver,
+            Err(PersistError::Missing) => {
+                system.recorder().add("recovery.cold_start", 1);
+                return (RecoveryOutcome::ColdStart, None);
+            }
+            Err(_damaged) => {
+                return (
+                    checkpoint::quarantine_damaged(&path, system.recorder()),
+                    None,
+                )
+            }
+        };
+        match system.recover(dir) {
+            Ok(RecoveryOutcome::Resumed { replay_from }) if replay_from == driver.next_second => {
+                (RecoveryOutcome::Resumed { replay_from }, Some(driver))
+            }
+            _ => {
+                *system = self.system(observe);
+                (
+                    checkpoint::quarantine_damaged(&path, system.recorder()),
+                    None,
+                )
+            }
+        }
+    }
+
+    fn run_inner(&self, observe: bool) -> (AccuracyReport, Option<MetricsSnapshot>) {
         // Wall-clock spans are only taken when the recorder is live, so an
         // observability-off run never touches the clock. Span *durations*
         // are the one non-deterministic part of a sim snapshot (span
-        // counts and every counter/gauge/histogram are exact); the core
-        // system facade offers fully logical timing instead.
+        // counts and every counter/gauge/histogram are exact).
         use std::time::Instant;
-        let obs_on = recorder.is_enabled();
-        // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, only taken when the recorder is live; accuracy results never read it
-        let t_run = obs_on.then(Instant::now);
+        // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, only taken when observing; accuracy results never read it
+        let t_run = observe.then(Instant::now);
         let p = &self.params;
         let w = &self.world;
-        // The landmark distance oracle behind kNN evaluation. Pure
+        // The landmark distance oracle behind kNN scoring. Pure
         // precomputation over the immutable world graph — built once per
         // run, never part of the checkpoint (a resumed run rebuilds it
         // identically).
         let oracle = DistanceOracle::build(&w.graph, ripq_graph::DEFAULT_LANDMARKS);
         let mut rng_trace = StdRng::seed_from_u64(p.seed.wrapping_add(1));
         let mut rng_sense = StdRng::seed_from_u64(p.seed.wrapping_add(2));
-        let mut rng_pf = StdRng::seed_from_u64(p.seed.wrapping_add(3));
         let mut rng_query = StdRng::seed_from_u64(p.seed.wrapping_add(4));
 
         // 1. True traces and noisy detections.
@@ -268,49 +351,8 @@ impl Experiment {
         let objects: Vec<ObjectId> = traces.iter().map(|t| t.object).collect();
         let knn_points = self.knn_points(&mut rng_query);
 
-        // 2. Stream seconds into the collector; evaluate at timestamps.
-        let mut collector = DataCollector::new();
-        collector.set_recorder(recorder);
-
-        // Fault layer (off by default). When active, readings pass through
-        // the injector and the collector ingests delivery-tagged batches
-        // behind a reorder window matching the injector's jitter bound;
-        // evaluation then happens at the *watermark* (delivery second
-        // minus the window), the moment a logical second is final. With
-        // `W = 0` faults the watermark equals the second, and an inactive
-        // plan takes the exact classic path.
-        let mut injector = p.faults.is_active().then(|| {
-            let mut inj = FaultInjector::new(p.faults, w.readers.len(), p.duration);
-            inj.set_recorder(recorder);
-            inj
-        });
-        let jitter = p.faults.max_delay_seconds;
-        if let Some(inj) = &injector {
-            collector.set_reorder_window(jitter);
-            for o in inj.outages() {
-                collector.note_outage(o.reader, o.from, o.until);
-            }
-        }
-        let mut cache = ParticleCache::new();
-        let pf_config = PreprocessorConfig {
-            num_particles: p.num_particles,
-            negative_evidence: p.negative_evidence,
-            resample_threshold: p.resample_threshold,
-            coast_seconds: p.coast_seconds,
-            kde_bandwidth: p.kde_bandwidth,
-            adaptive: p.kld_adaptive.then(ripq_pf::KldConfig::default),
-            motion: ripq_pf::MotionModel {
-                room_enter_probability: p.room_enter_probability,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let preprocessor = ParticlePreprocessor::new(&w.graph, &w.anchors, &w.readers, pf_config)
-            .with_recorder(recorder);
-
         let timestamps = p.timestamps();
         let mut next_ts = 0usize;
-
         let mut kl_pf = Mean::default();
         let mut kl_sm = Mean::default();
         let mut hit_pf = Mean::default();
@@ -320,48 +362,57 @@ impl Experiment {
         let mut err_pf = Mean::default();
         let mut err_sm = Mean::default();
 
-        // Crash recovery. Everything above this point — traces, readers,
-        // ground truth, query points, the outage schedule — is a pure
-        // function of the params and was regenerated identically; the
-        // snapshot restores only what the loop below mutates, then the
-        // loop re-enters at the checkpointed second. A fingerprint check
-        // inside the decoder quarantines snapshots from other parameter
-        // sets.
-        let fingerprint = checkpoint::params_fingerprint(p);
-        let ckpt_path = self
-            .checkpoint_dir
-            .as_deref()
-            .map(checkpoint::snapshot_path);
+        // 2. The pipeline, and crash recovery. Everything above this
+        // point — traces, readers, ground truth, query points — and the
+        // outage schedule below are pure functions of the params and were
+        // regenerated identically; `system.ckpt` restores the pipeline and
+        // the sidecar what the loop below mutates, then the loop re-enters
+        // at the checkpointed second.
+        let mut system = self.system(observe);
         let mut start_second = 0u64;
-        if let Some(path) = &ckpt_path {
-            let (outcome, restored) = checkpoint::load_or_quarantine(path, fingerprint, recorder);
-            if let Some(ck) = restored {
-                collector = ck.collector;
-                collector.set_recorder(recorder);
-                cache = ck.cache;
-                rng_sense = StdRng::from_state(ck.rng_sense);
-                rng_pf = StdRng::from_state(ck.rng_pf);
-                rng_query = StdRng::from_state(ck.rng_query);
-                next_ts = ck.next_ts as usize;
-                [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm] =
-                    ck.means.map(Mean::from_state);
-                if let Some(inj) = injector.as_mut() {
-                    inj.restore_pending(ck.pending);
-                }
-                // Update-in-place: handles resolved above (collector,
-                // injector, preprocessor) stay live across the restore.
-                recorder.restore(&ck.metrics);
-                start_second = ck.next_second;
-            }
+        let mut restored = None;
+        if let Some(dir) = &self.checkpoint_dir {
+            let (outcome, driver) = self.recover(&mut system, dir, observe);
+            system.set_checkpoint_dir(dir);
+            restored = driver;
             if let Ok(mut slot) = self.last_recovery.lock() {
                 *slot = Some(outcome);
             }
         }
+        let recorder = system.recorder().clone();
 
-        let supervision = SupervisionOptions {
-            budget: p.query_budget,
-            ..SupervisionOptions::default()
-        };
+        // Fault layer (off by default). When active, readings pass through
+        // the injector and the system ingests delivery-tagged batches
+        // behind a reorder window matching the injector's jitter bound;
+        // evaluation then happens at the *watermark* (delivery second
+        // minus the window), the moment a logical second is final. With
+        // `W = 0` faults the watermark equals the second, and an inactive
+        // plan takes the exact classic path.
+        let mut injector = p.faults.is_active().then(|| {
+            let mut inj = FaultInjector::new(p.faults, w.readers.len(), p.duration);
+            inj.set_recorder(&recorder);
+            inj
+        });
+        let jitter = p.faults.max_delay_seconds;
+        match restored {
+            Some(driver) => {
+                start_second = driver.next_second;
+                next_ts = driver.next_ts as usize;
+                rng_sense = StdRng::from_state(driver.rng_sense);
+                rng_query = StdRng::from_state(driver.rng_query);
+                [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm] =
+                    driver.means.map(Mean::from_state);
+                if let Some(inj) = injector.as_mut() {
+                    inj.restore_pending(driver.pending);
+                }
+            }
+            // A restored collector already holds the outage schedule.
+            None => {
+                for o in injector.iter().flat_map(FaultInjector::outages) {
+                    system.note_reader_outage(o.reader, o.from, o.until);
+                }
+            }
+        }
 
         let horizon = if injector.is_some() {
             p.duration + jitter
@@ -374,36 +425,38 @@ impl Experiment {
             if self.kill_after == Some(second) {
                 break;
             }
-            if let Some(path) = &ckpt_path {
+            if let Some(dir) = &self.checkpoint_dir {
                 if p.checkpoint_every > 0 && second > 0 && second.is_multiple_of(p.checkpoint_every)
                 {
-                    let metrics = recorder.snapshot();
-                    let view = checkpoint::CheckpointView {
-                        fingerprint,
+                    let driver = DriverState {
                         next_second: second,
                         next_ts: next_ts as u64,
-                        collector: &collector,
-                        cache: &cache,
                         rng_sense: rng_sense.state(),
-                        rng_pf: rng_pf.state(),
                         rng_query: rng_query.state(),
                         means: [kl_pf, kl_sm, hit_pf, hit_sm, top1, top2, err_pf, err_sm]
                             .map(|m| m.state()),
-                        pending: injector.as_ref().map(|inj| inj.pending()),
-                        metrics: &metrics,
+                        pending: injector
+                            .as_ref()
+                            .map(|inj| inj.pending().clone())
+                            .unwrap_or_default(),
                     };
-                    match checkpoint::save(path, &view) {
-                        Ok(()) => recorder.add("recovery.checkpoints_written", 1),
-                        // Best effort: a full disk must degrade durability,
-                        // not kill the run.
-                        Err(_) => recorder.add("recovery.checkpoint_errors", 1),
+                    // `system.ckpt` first: a crash between the two writes
+                    // leaves an unpaired sidecar, which recovery refuses.
+                    // Best effort: a full disk must degrade durability,
+                    // not kill the run.
+                    let fingerprint = checkpoint::params_fingerprint(p);
+                    let saved = system.checkpoint_now().is_ok()
+                        && checkpoint::save(&checkpoint::snapshot_path(dir), fingerprint, &driver)
+                            .is_ok();
+                    if !saved {
+                        recorder.add("recovery.checkpoint_errors", 1);
                     }
                 }
             }
             match injector.as_mut() {
                 None => {
                     let detections = reading_gen.detections_at(&mut rng_sense, &traces, second);
-                    collector.ingest_second(second, &detections);
+                    system.ingest_detections(second, &detections);
                 }
                 Some(inj) => {
                     // Past `duration` nothing new is generated; the extra
@@ -414,7 +467,7 @@ impl Experiment {
                         Vec::new()
                     };
                     let delivered = inj.step(second, &detections);
-                    collector.ingest_delivery(second, &delivered);
+                    system.ingest_delivery(second, &delivered);
                 }
             }
             let watermark = if injector.is_some() {
@@ -428,40 +481,33 @@ impl Experiment {
                 let now = watermark;
                 recorder.add("sim.timestamps_evaluated", 1);
 
-                // Both probabilistic indexes over all objects. One pass
-                // seed per timestamp; each object then filters on its own
-                // derived RNG stream, so `parallelism` never changes the
-                // numbers.
-                let pass_seed: u64 = rng_pf.random();
+                // The particle-filter index over every known object: one
+                // facade pass, whose per-object RNG streams keep
+                // `parallelism` from changing the numbers.
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_pf = obs_on.then(Instant::now);
-                // Each timestamp builds its index from scratch.
-                let mut pf_index = AnchorObjectIndex::new();
-                let (degradation, _) = preprocessor.process(
-                    pass_seed,
-                    &collector,
-                    &objects,
-                    now,
-                    Some(&cache),
-                    p.parallelism,
-                    &supervision,
-                    &mut pf_index,
-                );
+                let t_pf = observe.then(Instant::now);
+                let report = system.evaluate(now);
                 // Lazily counted so fault-free goldens never see the name.
-                if !degradation.is_empty() {
-                    recorder.add("sim.objects_degraded", degradation.len() as u64);
+                let degraded = report
+                    .object_degradation
+                    .values()
+                    .filter(|&&level| level > DegradationLevel::Full)
+                    .count();
+                if degraded > 0 {
+                    recorder.add("sim.objects_degraded", degraded as u64);
                 }
+                let pf_index = &report.index;
                 if let Some(t) = t_pf {
                     recorder.record_span("run/pf_index", t.elapsed());
                 }
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_sm = obs_on.then(Instant::now);
-                let sm_index = w.symbolic.build_index(&collector, &objects, now);
+                let t_sm = observe.then(Instant::now);
+                let sm_index = w.symbolic.build_index(system.collector(), &objects, now);
                 if let Some(t) = t_sm {
                     recorder.record_span("run/sm_index", t.elapsed());
                 }
                 // ripq-lint: allow(no-nondeterminism) -- wall-clock span timing, recorder-gated, never feeds results
-                let t_queries = obs_on.then(Instant::now);
+                let t_queries = observe.then(Instant::now);
 
                 // Range queries.
                 recorder.add(
@@ -474,7 +520,7 @@ impl Experiment {
                     if truth.is_empty() {
                         continue;
                     }
-                    let pf_rs = evaluate_range(&w.plan, &w.anchors, &pf_index, &window);
+                    let pf_rs = evaluate_range(&w.plan, &w.anchors, pf_index, &window);
                     let sm_rs = evaluate_range(&w.plan, &w.anchors, &sm_index, &window);
                     if let Some(kl) = metrics::range_kl(&truth, &pf_rs, &objects) {
                         kl_pf.push(kl);
@@ -493,7 +539,7 @@ impl Experiment {
                     let truth = ground_truth.knn(point, p.k, now);
                     let query = KnnQuery::new(QueryId::new(qi as u32), point, p.k).expect("k >= 1");
                     let pf_rs =
-                        evaluate_knn_with_oracle(&w.graph, &w.anchors, &pf_index, &query, &oracle);
+                        evaluate_knn_with_oracle(&w.graph, &w.anchors, pf_index, &query, &oracle);
                     let sm_rs =
                         evaluate_knn_with_oracle(&w.graph, &w.anchors, &sm_index, &query, &oracle);
                     hit_pf.push(metrics::knn_hit_rate(pf_rs.objects(), &truth, p.k));
@@ -504,7 +550,7 @@ impl Experiment {
                         p.k,
                     ));
                 }
-                record_oracle_effort(recorder, effort_before, oracle.stats());
+                record_oracle_effort(&recorder, effort_before, oracle.stats());
 
                 // Top-k success of the PF inference, plus the mean
                 // localization error of both methods.
@@ -540,7 +586,7 @@ impl Experiment {
         if let Some(t) = t_run {
             recorder.record_span("run", t.elapsed());
         }
-        AccuracyReport {
+        let report = AccuracyReport {
             range_kl_pf: kl_pf.value(),
             range_kl_sm: kl_sm.value(),
             knn_hit_pf: hit_pf.value(),
@@ -551,7 +597,8 @@ impl Experiment {
             mean_error_sm: err_sm.value(),
             range_queries_evaluated: kl_pf.count(),
             knn_queries_evaluated: hit_pf.count(),
-        }
+        };
+        (report, recorder.is_enabled().then(|| recorder.snapshot()))
     }
 }
 
@@ -848,28 +895,77 @@ mod tests {
         };
         let golden = Experiment::new(params).run();
 
-        let dir = ckpt_dir("damaged");
+        // Damage to either file of the pair refuses the resume.
+        for file in [
+            crate::checkpoint::SNAPSHOT_FILE,
+            ripq_core::checkpoint::SNAPSHOT_FILE,
+        ] {
+            let dir = ckpt_dir(&format!("damaged_{file}"));
+            let _ = Experiment::new(params)
+                .with_checkpoint_dir(&dir)
+                .with_kill_after(100)
+                .run();
+            // Flip one bit in the middle of the snapshot.
+            let path = dir.join(file);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x40;
+            // ripq-lint: allow(atomic-persistence) -- test deliberately plants a corrupted file
+            std::fs::write(&path, &bytes).unwrap();
+
+            let life2 = Experiment::new(params).with_checkpoint_dir(&dir);
+            let report = life2.run();
+            match life2.last_recovery() {
+                Some(RecoveryOutcome::Quarantined { path: moved }) => {
+                    assert!(moved.to_string_lossy().ends_with(".corrupt"));
+                    assert!(moved.exists());
+                }
+                other => panic!("expected quarantine, got {other:?}"),
+            }
+            assert_eq!(report, golden, "cold rebuild after quarantine must match");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn sidecar_from_an_older_checkpoint_is_not_resumed() {
+        let params = ExperimentParams {
+            checkpoint_every: 20,
+            ..ExperimentParams::smoke()
+        };
+        let golden = Experiment::new(params).run();
+
+        // Life 1 checkpoints at 20 and 40; keep its sidecar.
+        let dir = ckpt_dir("unpaired");
         let _ = Experiment::new(params)
             .with_checkpoint_dir(&dir)
-            .with_kill_after(100)
+            .with_kill_after(50)
             .run();
-        // Flip one bit in the middle of the snapshot.
-        let path = crate::checkpoint::snapshot_path(&dir);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        // ripq-lint: allow(atomic-persistence) -- test deliberately plants a corrupted file
-        std::fs::write(&path, &bytes).unwrap();
+        let sidecar = crate::checkpoint::snapshot_path(&dir);
+        let older = std::fs::read(&sidecar).unwrap();
+        // Life 2 resumes at 40 and checkpoints again at 60 and 80.
+        let life2 = Experiment::new(params)
+            .with_checkpoint_dir(&dir)
+            .with_kill_after(90);
+        let _ = life2.run();
+        assert_eq!(
+            life2.last_recovery(),
+            Some(RecoveryOutcome::Resumed { replay_from: 40 })
+        );
+        // Pair the second-40 sidecar with the second-80 system.ckpt.
+        // ripq-lint: allow(atomic-persistence) -- test deliberately plants a stale file
+        std::fs::write(&sidecar, &older).unwrap();
 
-        let life2 = Experiment::new(params).with_checkpoint_dir(&dir);
-        let report = life2.run();
-        match life2.last_recovery() {
-            Some(RecoveryOutcome::Quarantined { path: moved }) => {
-                assert!(moved.to_string_lossy().ends_with(".corrupt"));
-                assert!(moved.exists());
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
+        let life3 = Experiment::new(params).with_checkpoint_dir(&dir);
+        let report = life3.run();
+        assert!(
+            matches!(
+                life3.last_recovery(),
+                Some(RecoveryOutcome::Quarantined { .. })
+            ),
+            "an unpaired sidecar must not resume: {:?}",
+            life3.last_recovery()
+        );
         assert_eq!(report, golden, "cold rebuild after quarantine must match");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -946,6 +1042,19 @@ mod tests {
         // Degraded answers are still answers.
         assert!(r1.range_queries_evaluated > 0);
         assert!((0.0..=1.0).contains(&r1.knn_hit_pf));
+
+        // Without a budget nothing degrades, so the counter never appears.
+        let (_, unbudgeted) = Experiment::new(ExperimentParams {
+            query_budget: None,
+            ..params
+        })
+        .run_with_metrics();
+        let unbudgeted = unbudgeted.unwrap();
+        assert!(unbudgeted.counters["pf.objects_processed"] > 0);
+        assert!(
+            !unbudgeted.counters.contains_key("sim.objects_degraded"),
+            "full-quality answers are not degraded"
+        );
     }
 
     #[test]

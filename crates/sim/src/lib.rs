@@ -20,7 +20,8 @@
 //! * [`metrics`] — the *KL divergence* and *top-k success* modules plus
 //!   kNN hit rates (§5.1's three accuracy metrics).
 //! * [`Experiment`] / [`ExperimentParams`] — the harness that wires all of
-//!   the above to both probabilistic methods (particle filter vs. symbolic
+//!   the above to both probabilistic methods (the particle filter, through
+//!   one [`ripq_core::IndoorQuerySystem`] per run, vs. the symbolic
 //!   model) and produces the numbers behind every figure of §5.
 
 #![forbid(unsafe_code)]

@@ -6,17 +6,15 @@
 //! cargo run --release --example friend_finder
 //! ```
 //!
-//! Runs the simulator, evaluates the particle-filter kNN (Algorithm 4)
-//! and the symbolic-model baseline at a sequence of timestamps, and
-//! prints both answers next to the true k nearest neighbors by indoor
-//! walking distance.
+//! Runs the simulator, streams its readings into an `IndoorQuerySystem`
+//! with a registered kNN query (Algorithm 4), evaluates it and the
+//! symbolic-model baseline at a sequence of timestamps, and prints both
+//! answers next to the true k nearest neighbors by indoor walking
+//! distance.
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use ripq::core::{evaluate_knn, KnnQuery, QueryId};
-use ripq::graph::AnchorObjectIndex;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq::rfid::DataCollector;
+use rand::SeedableRng;
+use ripq::core::{evaluate_knn, IndoorQuerySystem, KnnQuery, QueryId, SystemConfig};
 use ripq::sim::metrics;
 use ripq::sim::{ExperimentParams, GroundTruth, ReadingGenerator, SimWorld, TraceGenerator};
 
@@ -29,14 +27,22 @@ fn main() {
     };
     let world = SimWorld::build(&params);
 
+    let mut system = IndoorQuerySystem::from_parts(
+        world.plan.clone(),
+        world.graph.clone(),
+        world.anchors.clone(),
+        world.readers.clone(),
+        SystemConfig::default(),
+        13,
+    );
+
     // "Me": standing at the central junction of the building.
     let me = world.plan.hallways()[1].footprint().center();
-    let query = KnnQuery::new(QueryId::new(0), me, params.k).expect("k >= 1");
+    let knn = system.register_knn(me, params.k).expect("k >= 1");
     println!("finding my {} nearest friends from {me}", params.k);
 
     let mut rng_trace = StdRng::seed_from_u64(11);
     let mut rng_sense = StdRng::seed_from_u64(12);
-    let mut rng_pf = StdRng::seed_from_u64(13);
     let traces = TraceGenerator::new(params.room_dwell_mean).generate(
         &mut rng_trace,
         &world.graph,
@@ -47,39 +53,25 @@ fn main() {
     let readings = ReadingGenerator::new(&world.graph, &world.readers, params.sensing);
     let ground_truth = GroundTruth::new(&world.graph, &traces);
     let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-    let preprocessor = ParticlePreprocessor::new(
-        &world.graph,
-        &world.anchors,
-        &world.readers,
-        PreprocessorConfig::default(),
-    );
-    let mut collector = DataCollector::new();
-    let cache = ParticleCache::new();
+    // The baseline's query, evaluated over the symbolic model's index.
+    let query = KnnQuery::new(QueryId::new(0), me, params.k).expect("k >= 1");
 
     let mut pf_hits = metrics::Mean::default();
     let mut sm_hits = metrics::Mean::default();
     for second in 0..=params.duration {
         let detections = readings.detections_at(&mut rng_sense, &traces, second);
-        collector.ingest_second(second, &detections);
+        system.ingest_detections(second, &detections);
         if second % 25 != 0 || second < 50 {
             continue;
         }
 
-        let mut pf_index = AnchorObjectIndex::new();
-        preprocessor.process(
-            rng_pf.random::<u64>(),
-            &collector,
-            &objects,
-            second,
-            Some(&cache),
-            None,
-            &SupervisionOptions::default(),
-            &mut pf_index,
-        );
-        let sm_index = world.symbolic.build_index(&collector, &objects, second);
+        let report = system.evaluate(second);
+        let sm_index = world
+            .symbolic
+            .build_index(system.collector(), &objects, second);
 
         let truth = ground_truth.knn(me, params.k, second);
-        let pf = evaluate_knn(&world.graph, &world.anchors, &pf_index, &query);
+        let pf = &report.knn_results[&knn];
         let sm = evaluate_knn(&world.graph, &world.anchors, &sm_index, &query);
         let sm_top = metrics::top_k_objects(&sm, params.k);
 

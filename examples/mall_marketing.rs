@@ -11,12 +11,9 @@
 //! walking together (candidates for a "bring a friend" coupon).
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use ripq::core::{evaluate_closest_pairs, evaluate_ptknn, ClosestPairsQuery, PtknnQuery};
+use rand::SeedableRng;
+use ripq::core::{IndoorQuerySystem, SystemConfig};
 use ripq::floorplan::{shopping_mall, MallParams};
-use ripq::graph::AnchorObjectIndex;
-use ripq::pf::{ParticleCache, ParticlePreprocessor, PreprocessorConfig, SupervisionOptions};
-use ripq::rfid::DataCollector;
 use ripq::sim::{ExperimentParams, ReadingGenerator, SimWorld, TraceGenerator};
 
 fn main() {
@@ -34,11 +31,26 @@ fn main() {
         world.plan.hallways().len(),
         world.readers.len()
     );
+    let mut system = IndoorQuerySystem::from_parts(
+        world.plan.clone(),
+        world.graph.clone(),
+        world.anchors.clone(),
+        world.readers.clone(),
+        SystemConfig {
+            ptknn_rounds: 300,
+            ..SystemConfig::default()
+        },
+        83,
+    );
+
+    // The kiosk sits mid-promenade.
+    let kiosk = world.plan.hallways()[0].footprint().center();
+    let nearby_query = system.register_ptknn(kiosk, 3, 0.4).expect("valid query");
+    let pairs_query = system.register_closest_pairs(2, 3.0).expect("valid query");
 
     // Shoppers wander; readings stream in.
     let mut rng_trace = StdRng::seed_from_u64(81);
     let mut rng_sense = StdRng::seed_from_u64(82);
-    let mut rng_pf = StdRng::seed_from_u64(83);
     let traces = TraceGenerator::new(params.room_dwell_mean).generate(
         &mut rng_trace,
         &world.graph,
@@ -47,60 +59,24 @@ fn main() {
         params.duration,
     );
     let readings = ReadingGenerator::new(&world.graph, &world.readers, params.sensing);
-    let preprocessor = ParticlePreprocessor::new(
-        &world.graph,
-        &world.anchors,
-        &world.readers,
-        PreprocessorConfig::default(),
-    );
-    let mut collector = DataCollector::new();
-    let cache = ParticleCache::new();
-
-    // The kiosk sits mid-promenade.
-    let kiosk = world.plan.hallways()[0].footprint().center();
-    let ptknn = PtknnQuery::new(kiosk, 3, 0.4).expect("valid query");
-    let pairs_query = ClosestPairsQuery {
-        m: 2,
-        contact_radius: 3.0,
-    };
 
     for second in 0..=params.duration {
         let det = readings.detections_at(&mut rng_sense, &traces, second);
-        collector.ingest_second(second, &det);
+        system.ingest_detections(second, &det);
         if second % 60 != 0 || second == 0 {
             continue;
         }
-        let objects: Vec<_> = traces.iter().map(|t| t.object).collect();
-        let mut index = AnchorObjectIndex::new();
-        preprocessor.process(
-            rng_pf.random::<u64>(),
-            &collector,
-            &objects,
-            second,
-            Some(&cache),
-            None,
-            &SupervisionOptions::default(),
-            &mut index,
-        );
+        let report = system.evaluate(second);
 
-        let nearby = evaluate_ptknn(
-            &mut rng_pf,
-            &world.graph,
-            &world.anchors,
-            &index,
-            &ptknn,
-            300,
-        );
         println!("\nt={second:>3}s  probably among the kiosk's 3 nearest (p >= 0.4):");
-        for r in nearby.sorted() {
+        for r in report.ptknn_results[&nearby_query].sorted() {
             println!(
                 "    {} with membership probability {:.2}",
                 r.object, r.probability
             );
         }
 
-        let together = evaluate_closest_pairs(&world.graph, &world.anchors, &index, &pairs_query);
-        for p in &together {
+        for p in &report.closest_pairs_results[&pairs_query] {
             if p.within_radius >= 0.5 {
                 println!(
                     "    coupon pair: {} & {} (p(within 3 m) = {:.2})",

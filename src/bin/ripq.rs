@@ -209,8 +209,8 @@ fn cmd_simulate(args: &[String]) {
             std::process::exit(1);
         }
         println!(
-            "recovery plan: checkpoint to {dir}/experiment.ckpt every {checkpoint_every} s, \
-             resuming from any valid snapshot found there"
+            "recovery plan: checkpoint to {dir}/system.ckpt + {dir}/experiment.ckpt every \
+             {checkpoint_every} s, resuming from any valid pair found there"
         );
         experiment = experiment.with_checkpoint_dir(dir);
     }

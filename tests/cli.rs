@@ -175,7 +175,14 @@ fn checkpointed_simulate_echoes_the_recovery_plan_and_resumes() {
         "plan not echoed: {text}"
     );
     assert!(text.contains("recovery: cold start"), "{text}");
-    assert!(dir.join("experiment.ckpt").exists(), "snapshot written");
+    assert!(
+        dir.join("system.ckpt").exists(),
+        "pipeline snapshot written"
+    );
+    assert!(
+        dir.join("experiment.ckpt").exists(),
+        "driver sidecar written"
+    );
 
     // Second run over the same directory resumes from the snapshot.
     let again = String::from_utf8(ripq(&args).stdout).unwrap();
